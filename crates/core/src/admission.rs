@@ -11,7 +11,7 @@
 //!
 //! Like the multi-query sharing seam ([`crate::sharing`]), the trait lives
 //! here but the implementation lives upstack (`pier-analyze`, which walks
-//! compiled plans and derives the static [`CostReport`]-style bounds); the
+//! compiled plans and derives the static `CostReport`-style bounds); the
 //! function-pointer factory keeps `pier-core` free of a dependency cycle.
 //! A node built without a factory behaves exactly as before: every query is
 //! admitted unconditionally and no report is produced.

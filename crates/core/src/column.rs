@@ -427,6 +427,23 @@ impl Column {
         }
     }
 
+    /// Append row `r` of `src`, borrowing it: dictionary entries and
+    /// fallback values keep their `Arc` pointer fast path, every other
+    /// layout pushes a borrowed [`ValueRef`].
+    pub(crate) fn push_from(&mut self, src: &Column, r: usize) {
+        match src {
+            Column::Values(vals) => self.push_value(&vals[r]),
+            Column::Dict {
+                codes,
+                dict,
+                validity,
+            } if validity.as_ref().is_none_or(|v| v.get(r)) => {
+                self.push_str_arc(&dict[usize::from(codes[r])]);
+            }
+            _ => self.push_ref(src.value_ref(r)),
+        }
+    }
+
     fn push_int(&mut self, i: i64) {
         match self {
             Column::Int { data, validity } => {
@@ -509,17 +526,23 @@ impl Column {
     }
 
     /// Find or insert `s` in the dictionary; `None` when the dictionary is
-    /// full and `s` is new (the spill trigger).
-    fn dict_code(dict: &mut Vec<Arc<str>>, s: &str, arc: Option<&Arc<str>>) -> Option<u8> {
-        for (i, entry) in dict.iter().enumerate() {
-            if let Some(a) = arc {
-                if Arc::ptr_eq(a, entry) {
-                    return Some(i as u8);
-                }
-            }
-            if entry.as_ref() == s {
-                return Some(i as u8);
-            }
+    /// full and `s` is new (the spill trigger).  `prev` (the previous row's
+    /// code) is tried before the linear probe: an install snapshot delivers
+    /// rows grouped by partition key, so a key column usually repeats its
+    /// last code.  Entries are unique, so a hit is the code the probe would
+    /// find.
+    fn dict_code(
+        dict: &mut Vec<Arc<str>>,
+        s: &str,
+        arc: Option<&Arc<str>>,
+        prev: Option<u8>,
+    ) -> Option<u8> {
+        let same = |entry: &Arc<str>| arc.is_some_and(|a| Arc::ptr_eq(a, entry)) || **entry == *s;
+        if prev.is_some_and(|p| dict.get(usize::from(p)).is_some_and(same)) {
+            return prev;
+        }
+        if let Some(i) = dict.iter().position(same) {
+            return Some(i as u8);
         }
         if dict.len() >= DICT_MAX {
             return None;
@@ -558,7 +581,7 @@ impl Column {
                 codes,
                 dict,
                 validity,
-            } => match Self::dict_code(dict, s, arc) {
+            } => match Self::dict_code(dict, s, arc, codes.last().copied()) {
                 Some(code) => {
                     codes.push(code);
                     if let Some(v) = validity {
@@ -584,7 +607,7 @@ impl Column {
             Column::Values(vals) if is_all_null(vals) => {
                 let nulls = vals.len();
                 let mut dict = Vec::new();
-                let code = Self::dict_code(&mut dict, s, arc).expect("fresh dict");
+                let code = Self::dict_code(&mut dict, s, arc, None).expect("fresh dict");
                 let mut codes = vec![0u8; nulls];
                 codes.push(code);
                 *self = Column::Dict {
@@ -1032,6 +1055,111 @@ mod tests {
             (Value::Str(a), Value::Str(b)) => assert!(Arc::ptr_eq(a, b)),
             _ => panic!("expected dict layout"),
         }
+    }
+
+    /// Push `vals` through the owned (`Arc` fast path), borrowed and
+    /// column-to-column ingest paths; each must give the reference layout's
+    /// logical column, in `layout`.
+    fn assert_pushes_match_reference(vals: &[Value], layout: &str) -> Column {
+        let reference = Column::values_layout(vals.to_vec());
+        let mut owned = Column::new();
+        let mut borrowed = Column::new();
+        let mut copied = Column::new();
+        for (r, v) in vals.iter().enumerate() {
+            owned.push_value(v);
+            borrowed.push_ref(v.as_ref());
+            copied.push_from(&reference, r);
+        }
+        for col in [&owned, &borrowed, &copied] {
+            assert_eq!(col, &reference);
+            if !FORCE_REFERENCE {
+                assert_eq!(col.layout_name(), layout);
+            }
+        }
+        let mut from_typed = Column::new();
+        for r in 0..owned.len() {
+            from_typed.push_from(&owned, r);
+        }
+        assert_eq!(from_typed, reference);
+        owned
+    }
+
+    fn kw(i: usize) -> Value {
+        Value::str(format!("kw{i}"))
+    }
+
+    #[test]
+    fn dict_push_key_grouped_hits_the_previous_code() {
+        // Runs of one key, as a partition scan delivers them.
+        let grouped: Vec<Value> = (0..20)
+            .flat_map(|k| std::iter::repeat_n(kw(k), 7))
+            .collect();
+        let col = assert_pushes_match_reference(&grouped, "dict");
+        if let Column::Dict { codes, dict, .. } = &col {
+            assert_eq!(dict.len(), 20, "entries stay unique");
+            let want: Vec<u8> = (0..20u8).flat_map(|k| [k; 7]).collect();
+            assert_eq!(codes, &want);
+        }
+        // Equal strings behind distinct `Arc`s share one entry too.
+        let fresh: Vec<Value> = (0..10).map(|_| kw(3)).collect();
+        assert_pushes_match_reference(&fresh, "dict");
+    }
+
+    #[test]
+    fn dict_push_interleaved_and_with_nulls() {
+        let interleaved: Vec<Value> = (0..200).map(|i| kw(i % 13)).collect();
+        let col = assert_pushes_match_reference(&interleaved, "dict");
+        if let Column::Dict { codes, .. } = &col {
+            assert!(codes
+                .iter()
+                .enumerate()
+                .all(|(i, &c)| usize::from(c) == i % 13));
+        }
+        // A null row stores code 0; the next row must not borrow it blindly.
+        let with_nulls: Vec<Value> = (0..60)
+            .map(|i| {
+                if i % 4 == 1 {
+                    Value::Null
+                } else {
+                    kw(i % 5 + 1)
+                }
+            })
+            .collect();
+        assert_pushes_match_reference(&with_nulls, "dict");
+        let mut leading = vec![Value::Null, Value::Null];
+        leading.extend((0..8).map(|i| kw(i / 3)));
+        assert_pushes_match_reference(&leading, "dict");
+    }
+
+    #[test]
+    fn dict_push_at_the_cap_and_across_the_spill() {
+        // Exactly DICT_MAX distinct values, grouped then repeated in reverse:
+        // the dictionary is full but never spills.
+        let at_cap: Vec<Value> = (0..DICT_MAX)
+            .flat_map(|k| [kw(k), kw(k)])
+            .chain((0..DICT_MAX).rev().map(kw))
+            .collect();
+        let col = assert_pushes_match_reference(&at_cap, "dict");
+        if let Column::Dict { dict, .. } = &col {
+            assert_eq!(dict.len(), DICT_MAX);
+        }
+        // One more distinct value spills to the arena; grouped and
+        // interleaved repeats after the spill land there too.
+        let mut spill = at_cap.clone();
+        spill.extend([
+            kw(DICT_MAX),
+            kw(DICT_MAX),
+            kw(0),
+            kw(DICT_MAX),
+            Value::Null,
+            kw(5),
+        ]);
+        assert_pushes_match_reference(&spill, "str");
+        // A spill in the middle of a key-grouped run.
+        let grouped_spill: Vec<Value> = (0..=DICT_MAX)
+            .flat_map(|k| std::iter::repeat_n(kw(k), 3))
+            .collect();
+        assert_pushes_match_reference(&grouped_spill, "str");
     }
 
     #[test]

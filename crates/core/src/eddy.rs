@@ -1,7 +1,7 @@
 //! Eddies: adaptive, run-time reordering of query operators (§4.2.2).
 //!
 //! PIER's answer to query optimization without a catalog is *runtime*
-//! reoptimization: "we have implemented a prototype version of an eddy [2]
+//! reoptimization: "we have implemented a prototype version of an eddy \[2\]
 //! as an optional operator that can be employed in UFL plans.  A set of UFL
 //! operators can be 'wired up' to an eddy, and in principle benefit from the
 //! eddy's ability to reorder the operators."
@@ -462,7 +462,7 @@ impl Eddy {
                         order = self.next_order();
                     }
                     if let Some(t) = self.route_with_order(&order, chunk.row(r)) {
-                        out.push_tuple(t);
+                        out.push_tuple(&t);
                     }
                 }
             }
@@ -776,7 +776,7 @@ mod tests {
 
         let mut batch = TupleBatch::default();
         for i in 0..200i64 {
-            batch.push_tuple(row(i, i % 100, i % 10));
+            batch.push_tuple(&row(i, i % 100, i % 10));
         }
         let out = pipeline.push_batch(&batch);
         pipeline.flush(); // triggers the eddy's gauge sync

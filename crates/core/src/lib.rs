@@ -4,7 +4,7 @@
 //! processor designed to run on thousands of Internet nodes over a DHT
 //! overlay (`pier-dht`) and an event-driven runtime (`pier-runtime`).
 //!
-//! * [`value`] / [`tuple`] — self-describing tuples with best-effort typing
+//! * [`value`] / [`tuple`](mod@tuple) — self-describing tuples with best-effort typing
 //!   (no catalog, §3.3.1), held zero-copy: values share string/bytes
 //!   payloads behind `Arc`s, tuples pair an interned `Arc<Schema>` with an
 //!   `Arc<[Value]>` (cloning is allocation-free), and [`tuple::TupleBatch`]

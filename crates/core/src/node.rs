@@ -666,6 +666,12 @@ impl PierNode {
         &self.overlay
     }
 
+    /// Write access to the overlay, e.g. to stage objects directly in this
+    /// node's store (tests, experiments).
+    pub fn overlay_mut(&mut self) -> &mut Overlay<QpObject> {
+        &mut self.overlay
+    }
+
     /// The node's telemetry handle (inert unless
     /// [`PierConfig::telemetry`] enables it).  Harnesses use this to read
     /// counters, sync host-level stats in as gauges, or export the trace.
@@ -1607,35 +1613,32 @@ impl PierNode {
             ctx.set_timer(cq_lease, PierTimer::CqLease { query_id });
         }
         // Feed the opgraphs their initial data: node-local rows plus the
-        // DHT-partitioned rows this node is responsible for.  The snapshot of
-        // every source is taken *before* any graph runs, so tuples that one
-        // opgraph republishes during installation (e.g. a rehash into the
-        // query's rendezvous namespace) are not double-counted by another
-        // opgraph that reads that namespace — those arrive via `newData`.
-        let graph_count = self.queries[&query_id].graphs.len();
-        let mut initial_rows: Vec<Vec<Tuple>> = Vec::with_capacity(graph_count);
-        for gidx in 0..graph_count {
-            let namespace = self.queries[&query_id].graphs[gidx]
-                .spec
-                .source
-                .namespace()
-                .to_string();
-            let mut rows: Vec<Tuple> = self
-                .local_tables
-                .get(&namespace)
-                .cloned()
-                .unwrap_or_default();
-            rows.extend(
-                self.overlay
-                    .local_scan(&namespace, ctx.now())
-                    .into_iter()
-                    .flat_map(|o| o.value.into_tuples()),
-            );
-            initial_rows.push(rows);
-        }
-        for (gidx, rows) in initial_rows.into_iter().enumerate() {
-            for row in rows {
-                let effects = self.feed_graph(ctx, query_id, gidx, row);
+        // DHT-partitioned rows this node is responsible for, each graph's
+        // snapshot built as one columnar batch straight from the borrowed
+        // rows and stored objects.  Every snapshot is taken *before* any
+        // graph runs, so tuples that one opgraph republishes during
+        // installation (e.g. a rehash into the query's rendezvous
+        // namespace) are not double-counted by another opgraph that reads
+        // that namespace — those arrive via `newData`.
+        let now = ctx.now();
+        let snapshots: Vec<TupleBatch> = self.queries[&query_id]
+            .graphs
+            .iter()
+            .map(|g| {
+                let namespace = g.spec.source.namespace();
+                let mut batch = TupleBatch::default();
+                for row in self.local_tables.get(namespace).into_iter().flatten() {
+                    batch.push_tuple(row);
+                }
+                for object in self.overlay.local_scan(namespace, now) {
+                    object.value.extend_batch(&mut batch);
+                }
+                batch
+            })
+            .collect();
+        for (gidx, batch) in snapshots.iter().enumerate() {
+            if !batch.is_empty() {
+                let effects = self.feed_graph_batch(ctx, query_id, gidx, batch);
                 self.drive(ctx, effects);
             }
         }

@@ -10,7 +10,7 @@
 //! The [`LocalOperator`] trait captures that contract.  The distributed
 //! operators of the paper — Put/Exchange (rehashing through the DHT),
 //! Fetch Matches index joins, hierarchical aggregation — are coordinated by
-//! the [`executor`](crate::executor) because they need the overlay; the
+//! the [`executor`](crate::node) because they need the overlay; the
 //! building blocks they use (Bloom filters, symmetric-hash join state,
 //! partial group-by) live here so they can be tested exhaustively in
 //! isolation.
@@ -48,7 +48,7 @@ pub trait LocalOperator: std::fmt::Debug {
         let mut out = TupleBatch::default();
         for t in batch.iter() {
             for produced in self.push(t) {
-                out.push_tuple(produced);
+                out.push_tuple(&produced);
             }
         }
         out
@@ -985,7 +985,7 @@ impl Pipeline {
                 self.stages[i].push_batch(&carried)
             };
             for t in self.stages[i].flush() {
-                released.push_tuple(t);
+                released.push_tuple(&t);
             }
             if let Some((tel, meters)) = &self.meters {
                 let m = &meters[i];

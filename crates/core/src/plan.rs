@@ -457,12 +457,18 @@ impl QpObject {
         single.into_iter().chain(batch.into_iter().flatten())
     }
 
-    /// Consume the object into its data tuples (empty for plans).
-    pub fn into_tuples(self) -> Vec<Tuple> {
+    /// Append the data tuples this object carries to `batch`, borrowing
+    /// them (a batch's chunks are copied column by column; plans carry
+    /// none).
+    pub(crate) fn extend_batch(&self, batch: &mut TupleBatch) {
         match self {
-            QpObject::Tuple(t) => vec![t],
-            QpObject::Batch(b) => b.into_tuples(),
-            QpObject::Plan(_) => Vec::new(),
+            QpObject::Tuple(t) => batch.push_tuple(t),
+            QpObject::Batch(b) => {
+                for chunk in b.chunks() {
+                    batch.extend_from_chunk(chunk);
+                }
+            }
+            QpObject::Plan(_) => {}
         }
     }
 }

@@ -6,7 +6,7 @@
 //! Tree** for range predicates — "essentially a resilient distributed trie
 //! implemented over DHTs" whose nodes are addressed by binary prefixes of
 //! the key space.  The paper notes the PHT had been implemented on the DHT
-//! codebase but "[had] yet to [be] integrate[d] into PIER"; this module is
+//! codebase but "\[had\] yet to \[be\] integrate\[d\] into PIER"; this module is
 //! that integration.
 //!
 //! The published structure follows the PHT addressing scheme with the trie
@@ -84,7 +84,7 @@ impl RangeIndexConfig {
         self.clamp(value) >> (self.domain_bits - self.prefix_bits)
     }
 
-    /// The DHT partition key ("rng:<binary prefix>") of a value's bucket —
+    /// The DHT partition key (`"rng:<binary prefix>"`) of a value's bucket —
     /// the PHT leaf label.
     pub fn bucket_key(&self, value: i64) -> String {
         self.label(self.bucket_of(value))

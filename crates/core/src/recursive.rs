@@ -2,7 +2,7 @@
 //! tables (§3.3.2).
 //!
 //! "PIER supports UFL graphs with cycles, and such recursive queries in
-//! PIER are the topic of research beyond the scope of this paper [42]" —
+//! PIER are the topic of research beyond the scope of this paper \[42\]" —
 //! the reference being the *declarative routing* work, whose canonical
 //! query is network reachability / path finding over a distributed `links`
 //! table.  This module provides the local evaluation machinery for that

@@ -500,7 +500,7 @@ pub struct ColumnChunk {
 }
 
 impl ColumnChunk {
-    fn with_capacity(schema: Arc<Schema>, _capacity: usize) -> Self {
+    fn empty(schema: Arc<Schema>) -> Self {
         let columns = (0..schema.arity()).map(|_| Column::new()).collect();
         ColumnChunk {
             schema,
@@ -517,10 +517,21 @@ impl ColumnChunk {
         self.rows += 1;
     }
 
+    /// Append every row of `other`, which has this chunk's schema.
+    fn extend_from(&mut self, other: &ColumnChunk) {
+        debug_assert!(Arc::ptr_eq(&self.schema, &other.schema));
+        for (col, src) in self.columns.iter_mut().zip(&other.columns) {
+            for r in 0..other.rows {
+                col.push_from(src, r);
+            }
+        }
+        self.rows += other.rows;
+    }
+
     /// Build a one-row chunk holding just `tuple` (how single-tuple pushes
     /// enter chunk-native operator state, e.g. the symmetric hash join's).
     pub fn from_tuple(tuple: &Tuple) -> Self {
-        let mut chunk = ColumnChunk::with_capacity(Arc::clone(tuple.schema()), 1);
+        let mut chunk = ColumnChunk::empty(Arc::clone(tuple.schema()));
         chunk.push_row(tuple);
         chunk
     }
@@ -782,16 +793,14 @@ impl TupleBatch {
         let mut chunks: Vec<ColumnChunk> = Vec::new();
         let mut i = 0;
         while i < len {
-            // Measure the same-schema run first (pointer compares), so each
-            // chunk's column vectors are allocated at exactly the run
-            // length — an interleaved mixed-schema batch costs one exact
-            // allocation per column per run, never `len`-sized reserves.
+            // Measure the same-schema run first (pointer compares), then
+            // fill its chunk in one pass.
             let schema = tuples[i].schema();
             let mut end = i + 1;
             while end < len && Arc::ptr_eq(tuples[end].schema(), schema) {
                 end += 1;
             }
-            let mut chunk = ColumnChunk::with_capacity(Arc::clone(schema), end - i);
+            let mut chunk = ColumnChunk::empty(Arc::clone(schema));
             for t in &tuples[i..end] {
                 chunk.push_row(t);
             }
@@ -822,18 +831,37 @@ impl TupleBatch {
         self.chunks.push(chunk);
     }
 
-    /// Append one tuple, extending the last chunk when the schema matches
-    /// (so incrementally built batches still form same-schema runs).
-    pub fn push_tuple(&mut self, tuple: Tuple) {
+    /// Append one borrowed tuple, extending the last chunk when the schema
+    /// matches (so incrementally built batches still form same-schema runs).
+    pub fn push_tuple(&mut self, tuple: &Tuple) {
         match self.chunks.last_mut() {
-            Some(last) if Arc::ptr_eq(&last.schema, tuple.schema()) => last.push_row(&tuple),
+            Some(last) if Arc::ptr_eq(&last.schema, tuple.schema()) => last.push_row(tuple),
             _ => {
-                let mut chunk = ColumnChunk::with_capacity(Arc::clone(tuple.schema()), 1);
-                chunk.push_row(&tuple);
+                let mut chunk = ColumnChunk::empty(Arc::clone(tuple.schema()));
+                chunk.push_row(tuple);
                 self.chunks.push(chunk);
             }
         }
         self.len += 1;
+    }
+
+    /// Append every row of a borrowed chunk, column by column, extending
+    /// the last chunk when the schema matches.  With
+    /// [`push_tuple`](Self::push_tuple) this builds a batch straight from
+    /// stored objects without cloning any of them.
+    pub(crate) fn extend_from_chunk(&mut self, chunk: &ColumnChunk) {
+        if chunk.rows == 0 {
+            return;
+        }
+        match self.chunks.last_mut() {
+            Some(last) if Arc::ptr_eq(&last.schema, &chunk.schema) => last.extend_from(chunk),
+            _ => {
+                let mut own = ColumnChunk::empty(Arc::clone(&chunk.schema));
+                own.extend_from(chunk);
+                self.chunks.push(own);
+            }
+        }
+        self.len += chunk.rows;
     }
 
     /// Append every row of `other` after this batch's rows.
@@ -1363,10 +1391,10 @@ mod tests {
         let b = Tuple::new("s", vec![("y", Value::Int(2))]);
         let mut batch = TupleBatch::default();
         assert!(batch.is_empty());
-        batch.push_tuple(a.clone());
-        batch.push_tuple(a.clone());
-        batch.push_tuple(b.clone());
-        batch.push_tuple(a.clone());
+        batch.push_tuple(&a);
+        batch.push_tuple(&a);
+        batch.push_tuple(&b);
+        batch.push_tuple(&a);
         // Same-schema neighbours coalesce into one chunk per run.
         assert_eq!(batch.chunks().len(), 3);
         assert_eq!(batch.len(), 4);
@@ -1374,6 +1402,32 @@ mod tests {
             batch.clone().into_tuples(),
             vec![a.clone(), a.clone(), b.clone(), a.clone()]
         );
+        // Borrowed chunk appends extend a same-schema tail chunk and keep
+        // every row, typed layouts included.
+        let typed: Vec<Tuple> = (0..70)
+            .map(|i| {
+                Tuple::new(
+                    "r",
+                    vec![
+                        ("x", Value::Int(i)),
+                        ("k", Value::str(format!("k{}", i / 9))),
+                    ],
+                )
+            })
+            .collect();
+        let mut built = TupleBatch::default();
+        built.push_tuple(&typed[0]);
+        built.extend_from_chunk(&TupleBatch::new(typed[1..40].to_vec()).chunks()[0]);
+        built.extend_from_chunk(&batch.chunks()[2]);
+        built.extend_from_chunk(&TupleBatch::new(typed[40..].to_vec()).chunks()[0]);
+        built.extend_from_chunk(&batch.chunks()[0].filter(&[false, false]));
+        assert_eq!(built.chunks().len(), 3);
+        let mut want = typed[..40].to_vec();
+        want.push(a.clone());
+        want.extend_from_slice(&typed[40..]);
+        assert_eq!(built.len(), want.len());
+        assert_eq!(built.clone().into_tuples(), want);
+        assert_eq!(built, TupleBatch::new(want));
         // Appending another batch preserves its rows after ours.
         let mut other = TupleBatch::new(vec![b.clone(), b.clone()]);
         other.append(batch.clone());

@@ -128,15 +128,21 @@ impl<V: Clone> ObjectManager<V> {
     }
 
     /// All live objects in a namespace stored at this node — the local part
-    /// of the query processor's `localScan` access method.
-    pub fn scan_namespace(&self, namespace: &str, now: SimTime) -> Vec<StoredObject<V>> {
+    /// of the query processor's `localScan` access method — borrowed in
+    /// place, in (key, suffix) order.  Groups are ordered by (namespace,
+    /// key), so one namespace is a contiguous range starting at its empty
+    /// key.
+    pub fn scan_namespace(
+        &self,
+        namespace: &str,
+        now: SimTime,
+    ) -> impl Iterator<Item = &StoredObject<V>> + '_ {
+        let start = (namespace.to_string(), PartitionKey::new());
         self.groups
-            .iter()
-            .filter(|((ns, _), _)| ns == namespace)
+            .range(&start..)
+            .take_while(move |((ns, _), _)| *ns == start.0)
             .flat_map(|(_, g)| g.values())
-            .filter(|o| o.expires_at >= now)
-            .cloned()
-            .collect()
+            .filter(move |o| o.expires_at >= now)
     }
 
     /// All live objects stored at this node, regardless of namespace.
@@ -149,7 +155,8 @@ impl<V: Clone> ObjectManager<V> {
             .collect()
     }
 
-    /// Namespaces with at least one live object.
+    /// Namespaces with at least one live object, in order (groups are
+    /// already ordered by namespace).
     pub fn namespaces(&self, now: SimTime) -> Vec<String> {
         let mut out: Vec<String> = self
             .groups
@@ -157,7 +164,6 @@ impl<V: Clone> ObjectManager<V> {
             .filter(|(_, g)| g.values().any(|o| o.expires_at >= now))
             .map(|((ns, _), _)| ns.clone())
             .collect();
-        out.sort();
         out.dedup();
         out
     }
@@ -254,12 +260,95 @@ mod tests {
         om.put(name("a", "x", 1), 1, 1_000, 0);
         om.put(name("a", "y", 2), 2, 1_000, 0);
         om.put(name("b", "z", 3), 3, 1_000, 0);
-        assert_eq!(om.scan_namespace("a", 10).len(), 2);
-        assert_eq!(om.scan_namespace("b", 10).len(), 1);
+        assert_eq!(om.scan_namespace("a", 10).count(), 2);
+        assert_eq!(om.scan_namespace("b", 10).count(), 1);
         assert_eq!(om.scan_all(10).len(), 3);
         assert_eq!(om.namespaces(10), vec!["a".to_string(), "b".to_string()]);
         // After `a` expires only `b` remains visible.
         assert_eq!(om.namespaces(2_000), Vec::<String>::new());
+    }
+
+    #[test]
+    fn scan_namespace_excludes_prefix_adjacent_namespaces_and_expired_objects() {
+        let mut om: ObjectManager<u32> = ObjectManager::new(u64::MAX);
+        for (i, ns) in ["file", "files", "files2", "files\u{0}", "filet"]
+            .iter()
+            .enumerate()
+        {
+            om.put(name(ns, "k", i as u64), i as u32, 1_000, 0);
+        }
+        om.put(name("files", "j", 10), 10, 1_000, 0);
+        om.put(name("files", "k", 11), 11, 100, 0); // dead by t=500
+        let got: Vec<u32> = om.scan_namespace("files", 500).map(|o| o.value).collect();
+        assert_eq!(
+            got,
+            vec![10, 1],
+            "(key, suffix) order, live, exact namespace"
+        );
+        assert!(om.scan_namespace("fil", 500).next().is_none());
+        assert!(om.scan_namespace("files", 2_000).next().is_none());
+        // Not yet swept: the dead object still counts towards len().
+        assert_eq!(om.len(), 7);
+    }
+
+    #[test]
+    fn scan_namespace_order_equals_a_filter_over_scan_all() {
+        let mut om: ObjectManager<u64> = ObjectManager::new(u64::MAX);
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        for i in 0..400u64 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let ns = ["a", "ab", "b", "a.b"][(rng % 4) as usize];
+            let key = format!("k{}", (rng >> 8) % 23);
+            let lifetime = 100 + (rng >> 20) % 1_000;
+            om.put(name(ns, &key, rng >> 32), i, lifetime, 0);
+        }
+        let now = 600;
+        let all = om.scan_all(now);
+        for ns in ["a", "ab", "b", "a.b", "c"] {
+            let scanned: Vec<&StoredObject<u64>> = om.scan_namespace(ns, now).collect();
+            let filtered: Vec<&StoredObject<u64>> =
+                all.iter().filter(|o| o.name.namespace == ns).collect();
+            assert_eq!(scanned, filtered, "namespace {ns}");
+            let order: Vec<(&str, u64)> = scanned
+                .iter()
+                .map(|o| (o.name.key.as_str(), o.name.suffix))
+                .collect();
+            assert!(
+                order.windows(2).all(|w| w[0] < w[1]),
+                "(key, suffix) ascending"
+            );
+        }
+        assert_eq!(
+            om.namespaces(now),
+            ["a", "a.b", "ab", "b"]
+                .iter()
+                .map(ToString::to_string)
+                .filter(|ns| all.iter().any(|o| &o.name.namespace == ns))
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn expire_prunes_empty_groups() {
+        let mut om: ObjectManager<u32> = ObjectManager::new(u64::MAX);
+        om.put(name("a", "x", 1), 1, 100, 0);
+        om.put(name("a", "y", 2), 2, 1_000, 0);
+        om.put(name("b", "z", 3), 3, 100, 0);
+        assert_eq!(om.expire(500), 2);
+        assert_eq!(om.namespaces(500), vec!["a".to_string()]);
+        assert!(om.get("a", "x", 500).is_empty());
+        assert!(
+            !om.renew(&name("a", "x", 1), 1_000, 500),
+            "swept objects cannot renew"
+        );
+        assert_eq!(om.expire(5_000), 1);
+        assert!(om.is_empty());
+        assert_eq!(om.len(), 0);
+        // A swept namespace accepts fresh puts.
+        om.put(name("b", "z", 3), 4, 100, 5_000);
+        assert_eq!(om.get("b", "z", 5_000)[0].value, 4);
     }
 
     #[test]

@@ -702,8 +702,13 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
 
     // ----- Intra-node operations ------------------------------------------
 
-    /// `localScan(namespace)`: every live object of a namespace stored here.
-    pub fn local_scan(&self, namespace: &str, now: SimTime) -> Vec<StoredObject<V>> {
+    /// `localScan(namespace)`: every live object of a namespace stored
+    /// here, borrowed in place in (key, suffix) order.
+    pub fn local_scan(
+        &self,
+        namespace: &str,
+        now: SimTime,
+    ) -> impl Iterator<Item = &StoredObject<V>> + '_ {
         self.objects.scan_namespace(namespace, now)
     }
 

@@ -1,7 +1,7 @@
 //! The EXPLAIN ANALYZE driver: run a standing query with tracing on,
 //! merge every node's span ring into one cluster-wide stream, and
 //! reconcile the *measured* profile against the *static*
-//! [`CostReport`](pier_analyze::CostReport) the planner produced before
+//! [`CostReport`] the planner produced before
 //! the query ran.
 //!
 //! This is where the two halves of the observability story meet:

@@ -15,7 +15,7 @@
 //!    a [`TokenBucket`], keyed by destination instead of client.
 //! 3. **Node-to-node reciprocation** — "node A executes a query injected
 //!    via node B only if B has recently executed a query injected via A",
-//!    the strategy of Feldman et al. [21] adopted in [47].
+//!    the strategy of Feldman et al. \[21\] adopted in \[47\].
 //!    [`Reciprocation`] keeps the pairwise balance and answers the
 //!    execute-or-refuse question.
 //!

@@ -15,7 +15,7 @@
 //! * how preferable a node is for future operator placement
 //!   ([`ReputationDb::score`], higher is better).
 //!
-//! Only *verified* evidence should be fed in ("trust but verify", [75]) —
+//! Only *verified* evidence should be fed in ("trust but verify", \[75\]) —
 //! spot-check verdicts rather than mere suspicion — to avoid malicious
 //! framing of honest competitors; that policy is the caller's
 //! responsibility and is documented on [`ReputationDb::record`].

@@ -1,7 +1,7 @@
 //! Spot-checking and early commitment (§4.1.2 "Spot-checking and Early
 //! Commitment").
 //!
-//! The defense the paper adopts from the SIA work [55]: an aggregator first
+//! The defense the paper adopts from the SIA work \[55\]: an aggregator first
 //! **commits** to the exact set of inputs it aggregated by publishing the
 //! root of an authenticated data structure (a Merkle tree) together with its
 //! result; the client then **spot-checks** by sampling a few inputs directly

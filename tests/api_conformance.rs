@@ -139,9 +139,8 @@ fn table2_intra_node_operations() {
     overlay.put(ObjectName::new("t", "b", 2), "y".to_string(), 1_000_000, 0);
     overlay.put(ObjectName::new("u", "c", 3), "z".to_string(), 1_000_000, 0);
     // localScan(namespace)
-    let scan = overlay.local_scan("t", 10);
-    assert_eq!(scan.len(), 2);
-    assert!(overlay.local_scan("missing", 10).is_empty());
+    assert_eq!(overlay.local_scan("t", 10).count(), 2);
+    assert!(overlay.local_scan("missing", 10).next().is_none());
     // The maintenance timers of the wrapper re-arm themselves (the soft-state
     // expiry sweep is the garbage collector of §3.2.3).
     let effects = overlay.on_timer(OverlayTimer::Expire, 20);

@@ -79,7 +79,10 @@ fn same_program_runs_under_simulator_and_physical_runtime() {
     let run = rt.run_for(std::time::Duration::from_millis(1300));
     assert_eq!(run.programs.len(), 4);
     assert!(run.stats.total_msgs > 0, "maintenance traffic must flow");
-    let served = run.programs[owner_idx].overlay().local_scan("t", 1_000_000);
+    let served: Vec<_> = run.programs[owner_idx]
+        .overlay()
+        .local_scan("t", 1_000_000)
+        .collect();
     assert_eq!(served.len(), 1, "physical runtime: object still served");
     assert_eq!(served[0].value, "native");
 }
