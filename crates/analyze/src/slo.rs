@@ -99,6 +99,8 @@ struct GroupState {
 #[derive(Debug, Default)]
 pub struct SloAdmission {
     policy: SloPolicy,
+    /// The node runs a sharing layer (see [`AdmissionControl::configure`]).
+    shared_execution: bool,
     tel: Option<Telemetry>,
     spend: BTreeMap<u64, Spend>,
     charges: BTreeMap<u64, Charge>,
@@ -161,8 +163,9 @@ impl SloAdmission {
 }
 
 impl AdmissionControl for SloAdmission {
-    fn configure(&mut self, policy: &SloPolicy) {
+    fn configure(&mut self, policy: &SloPolicy, shared_execution: bool) {
         self.policy = policy.clone();
+        self.shared_execution = shared_execution;
     }
 
     fn set_telemetry(&mut self, tel: &Telemetry) {
@@ -198,7 +201,7 @@ impl AdmissionControl for SloAdmission {
         // Share-group marginal charging: a follow-on member of a group this
         // proxy already drives rides at marginal cost and is admitted as-is
         // (sampling a member would distort the shared store).
-        let sharable = self.policy.shared_execution && report.share_eligible;
+        let sharable = self.shared_execution && report.share_eligible;
         if sharable {
             if let Some(fp) = report.fingerprint {
                 if let Some(group) = self.groups.get_mut(&fp) {
@@ -353,7 +356,13 @@ mod tests {
 
     fn layer(policy: SloPolicy) -> SloAdmission {
         let mut l = SloAdmission::default();
-        l.configure(&policy);
+        l.configure(&policy, false);
+        l
+    }
+
+    fn shared_layer(policy: SloPolicy) -> SloAdmission {
+        let mut l = SloAdmission::default();
+        l.configure(&policy, true);
         l
     }
 
@@ -436,13 +445,10 @@ mod tests {
 
     #[test]
     fn share_group_followers_ride_marginal_and_charge_migrates() {
-        let mut policy = SloPolicy {
-            shared_execution: true,
-            ..SloPolicy::default()
-        };
+        let mut policy = SloPolicy::default();
         // Budget fits exactly one full charge per tenant.
         policy.default_budget.max_rows_per_window_per_node = 40;
-        let mut l = layer(policy);
+        let mut l = shared_layer(policy);
         let mut driver = windowed_plan(1, "");
         driver.query_id = 1;
         let mut follower = windowed_plan(2, "");
@@ -471,12 +477,9 @@ mod tests {
 
     #[test]
     fn share_eligible_plans_are_never_shed() {
-        let mut policy = SloPolicy {
-            shared_execution: true,
-            ..SloPolicy::default()
-        };
+        let mut policy = SloPolicy::default();
         policy.default_budget.max_rows_per_window_per_node = 8;
-        let mut l = layer(policy);
+        let mut l = shared_layer(policy);
         let d = l.assess(&windowed_plan(1, ""));
         assert!(matches!(d.verdict, AdmissionVerdict::Reject { .. }));
     }

@@ -65,7 +65,7 @@ fn main() {
     let analyze_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
 
     let mut layer = admission_factory();
-    layer.configure(&SloPolicy::default());
+    layer.configure(&SloPolicy::default(), false);
     let t0 = Instant::now();
     for i in 0..iters {
         let plan = &plans[(i % plans.len() as u64) as usize];

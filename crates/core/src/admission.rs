@@ -106,11 +106,6 @@ pub struct SloPolicy {
     pub tenants: BTreeMap<u64, SloBudget>,
     /// Deployment assumptions the cost model scales by.
     pub env: EnvModel,
-    /// The cluster executes share-eligible plans through a sharing layer
-    /// (`pier-mqo`): follow-on members of an existing group are charged
-    /// marginal cost, and share-eligible plans are never degraded to
-    /// sampling (a sampled member would distort the group's shared store).
-    pub shared_execution: bool,
 }
 
 impl SloPolicy {
@@ -172,8 +167,12 @@ impl AdmissionDecision {
 /// charge to its tenant's budget when the query ends.
 pub trait AdmissionControl: std::fmt::Debug {
     /// Install the policy (budgets + environment model).  Called once at
-    /// node construction, before any `assess`.
-    fn configure(&mut self, policy: &SloPolicy);
+    /// node construction, before any `assess`.  `shared_execution` is true
+    /// when the node runs a sharing layer ([`crate::node::PierConfig::sharing`]):
+    /// share-eligible plans then execute as share-group members, so
+    /// follow-on members of an existing group are charged marginal cost and
+    /// share-eligible plans are never degraded to sampling.
+    fn configure(&mut self, policy: &SloPolicy, shared_execution: bool);
 
     /// Attach the node's telemetry handle.
     fn set_telemetry(&mut self, tel: &Telemetry);

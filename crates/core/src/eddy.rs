@@ -455,7 +455,7 @@ impl Eddy {
                     }
                     *kept = self.route_row_in_chunk(&order, chunk, r);
                 }
-                out.push_chunk(chunk.filter(&mask));
+                out.push_filtered(chunk, &mask);
             } else {
                 for r in 0..chunk.rows() {
                     if r > 0 && r % EDDY_REORDER_ROWS == 0 {

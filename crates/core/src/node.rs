@@ -518,6 +518,45 @@ impl CqState {
     }
 }
 
+/// What an arriving object carries, decided from its namespace alone
+/// ([`PierNode::classify`]).
+#[derive(Debug, Clone, Copy)]
+enum Arrival {
+    /// Closed-window partials of an installed continuous query.
+    WindowPartial(u64),
+    /// Closed-window partials of a share group.
+    SharePartial(u64),
+    /// Hierarchical-aggregation partials of an installed query.
+    AggPartial(u64),
+    /// Base-table or rehash-namespace rows for the dataflow.
+    Data,
+}
+
+/// Shed-to-sampling as a row mask: a degraded plan keeps one in `every`
+/// *source* rows — those whose per-query per-node arrival count `seen`
+/// satisfies `(seen - 1) % every == 0`.  Chunks of query-scoped tables
+/// (rehashed join sides, shipped partials) are derived data and pass
+/// untouched.  The counter runs across chunks and arrivals, so equal-seed
+/// runs thin identically however the rows were batched.
+fn sample_rows(seen: &mut u64, every: u32, batch: &TupleBatch) -> TupleBatch {
+    let every = u64::from(every);
+    let mut out = TupleBatch::default();
+    for chunk in batch.chunks() {
+        if is_query_scoped_table(chunk.schema().table()) {
+            out.push_chunk(chunk.clone());
+            continue;
+        }
+        let mask: Vec<bool> = (0..chunk.rows())
+            .map(|_| {
+                *seen += 1;
+                (*seen - 1).is_multiple_of(every)
+            })
+            .collect();
+        out.push_filtered(chunk, &mask);
+    }
+    out
+}
+
 #[derive(Debug)]
 struct QueryState {
     plan: QueryPlan,
@@ -593,43 +632,27 @@ pub struct PierNode {
 impl PierNode {
     /// A node whose overlay routing state is precomputed from the full ring.
     pub fn with_static_ring(me: NodeRef, all: &[NodeRef], config: PierConfig) -> Self {
-        let tel = Telemetry::from_config(&config.telemetry);
-        let mut overlay = Overlay::with_static_ring(me, all, config.overlay);
-        overlay.set_telemetry(tel.clone());
-        let mut sharing = config.sharing.map(|factory| factory());
-        if let Some(layer) = sharing.as_mut() {
-            layer.set_telemetry(tel.clone());
-        }
-        let mut admission = config.admission.map(|factory| factory());
-        if let Some(layer) = admission.as_mut() {
-            layer.configure(&config.slo);
-            layer.set_telemetry(&tel);
-        }
-        PierNode {
-            overlay,
-            bootstrap: None,
-            rng: Rng64::new(me.id.0 ^ 0x9D5F),
-            sharing,
-            admission,
-            tel,
-            config,
-            local_tables: HashMap::new(),
-            queries: HashMap::new(),
-            proxied: HashMap::new(),
-            pending_fetches: HashMap::new(),
-            next_query_seq: 0,
-            rehash_buf: HashMap::new(),
-            batch_timer_armed: false,
-            next_span_seq: 0,
-            last_combine_span: HashMap::new(),
-            span_publish_cursor: 0,
-        }
+        let overlay = Overlay::with_static_ring(me, all, config.overlay);
+        Self::assemble(me, overlay, None, config)
     }
 
     /// A node that joins an existing overlay through `bootstrap` when started.
     pub fn joining(me: NodeRef, bootstrap: Option<NodeAddr>, config: PierConfig) -> Self {
+        let overlay = Overlay::new(me, config.overlay);
+        Self::assemble(me, overlay, bootstrap, config)
+    }
+
+    /// Wire the configured layers around `overlay`: one telemetry handle
+    /// shared by the overlay, the sharing layer and the admission layer.
+    /// Admission learns from the sharing layer's presence whether
+    /// share-eligible plans will actually run shared.
+    fn assemble(
+        me: NodeRef,
+        mut overlay: Overlay<QpObject>,
+        bootstrap: Option<NodeAddr>,
+        config: PierConfig,
+    ) -> Self {
         let tel = Telemetry::from_config(&config.telemetry);
-        let mut overlay = Overlay::new(me, config.overlay);
         overlay.set_telemetry(tel.clone());
         let mut sharing = config.sharing.map(|factory| factory());
         if let Some(layer) = sharing.as_mut() {
@@ -637,7 +660,7 @@ impl PierNode {
         }
         let mut admission = config.admission.map(|factory| factory());
         if let Some(layer) = admission.as_mut() {
-            layer.configure(&config.slo);
+            layer.configure(&config.slo, sharing.is_some());
             layer.set_telemetry(&tel);
         }
         PierNode {
@@ -968,7 +991,7 @@ impl PierNode {
     /// streams (a packet trace is observed once, not stored).  Tuples
     /// arriving while no matching query is installed are simply dropped.
     pub fn ingest(&mut self, ctx: &mut ProgramContext<Self>, table: &str, tuple: Tuple) {
-        let effects = self.route_new_tuple(ctx, table, tuple);
+        let effects = self.route_arrival(ctx, table, QpObject::Tuple(tuple));
         self.drive(ctx, effects);
     }
 
@@ -1053,16 +1076,7 @@ impl PierNode {
                         self.install_query(ctx, plan);
                         Vec::new()
                     }
-                    QpObject::Tuple(tuple) => {
-                        self.route_new_tuple(ctx, &object.name.namespace, tuple)
-                    }
-                    QpObject::Batch(batch) => {
-                        // A coalesced transfer arrives: feed the columnar batch
-                        // to the dataflow batch-at-a-time — the dispatch
-                        // (namespace routing, target lookup) happens once per
-                        // batch and the operators consume whole chunks.
-                        self.route_new_batch(ctx, &object.name.namespace, batch)
-                    }
+                    data => self.route_arrival(ctx, &object.name.namespace, data),
                 }
             }
             OverlayEvent::Upcall {
@@ -1103,76 +1117,47 @@ impl PierNode {
                     _ => None,
                 };
                 if object.value.tuple_count() > 0 {
-                    if let Some(query_id) = self.query_for_partial_namespace(&object.name.namespace)
-                    {
-                        let mut absorbed = false;
-                        for partial in object.value.iter_tuples() {
-                            absorbed |= self.absorb_partial(query_id, &partial);
-                        }
-                        if absorbed {
-                            return self.overlay.resume_upcall(token, false, now);
-                        }
-                    }
-                    if let Some(query_id) = self.query_for_window_namespace(&object.name.namespace)
-                    {
-                        let mut absorbed = false;
-                        let mut refused: Vec<Tuple> = Vec::new();
-                        for partial in object.value.iter_tuples() {
-                            if self.absorb_window_partial(query_id, &partial) {
-                                absorbed = true;
-                            } else {
-                                refused.push(partial);
+                    let namespace = object.name.namespace.as_str();
+                    match self.classify(namespace) {
+                        Arrival::AggPartial(query_id) => {
+                            let mut absorbed = false;
+                            for partial in object.value.iter_tuples() {
+                                absorbed |= self.absorb_partial(query_id, &partial);
+                            }
+                            if absorbed {
+                                return self.overlay.resume_upcall(token, false, now);
                             }
                         }
-                        if absorbed {
-                            // The absorbed share is ours now; anything this
-                            // node's state refused (budget shed, evicted
-                            // window) must still reach the root — exactly as
-                            // an unbatched per-tuple upcall would have
-                            // continued routing it.
-                            let mut effects = self.overlay.resume_upcall(token, false, now);
-                            if !refused.is_empty() {
-                                // Arm only when a send follows: `set_trace`
-                                // is consumed by the next overlay op and
-                                // must not leak onto unrelated traffic.
-                                self.overlay.set_trace(upcall_ctx);
-                            }
-                            effects.extend(self.reship_window_partials(query_id, refused, now));
-                            return effects;
-                        }
-                    }
-                    // Share-group window partials combine en route exactly
-                    // like per-query ones, but into the group's single
-                    // shared store.
-                    if self.sharing.is_some() {
-                        let namespace = object.name.namespace.clone();
-                        let mut group = None;
-                        let mut absorbed = false;
-                        let mut refused: Vec<Tuple> = Vec::new();
-                        for partial in object.value.iter_tuples() {
-                            let layer = self.sharing.as_mut().expect("checked above");
-                            match layer.absorb_window_partial(&namespace, &partial) {
-                                None => break, // not a share-group namespace
-                                Some((g, ok)) => {
-                                    group = Some(g);
-                                    if ok {
-                                        absorbed = true;
-                                    } else {
-                                        refused.push(partial);
-                                    }
+                        kind @ (Arrival::WindowPartial(_) | Arrival::SharePartial(_)) => {
+                            let mut absorbed = false;
+                            let mut refused: Vec<Tuple> = Vec::new();
+                            for partial in object.value.iter_tuples() {
+                                if self.absorb_window_partial(kind, namespace, &partial) {
+                                    absorbed = true;
+                                } else {
+                                    refused.push(partial);
                                 }
                             }
-                        }
-                        if absorbed {
-                            let mut effects = self.overlay.resume_upcall(token, false, now);
-                            if let Some(group) = group {
+                            if absorbed {
+                                // The absorbed share is ours now; anything this
+                                // node's state refused (budget shed, evicted
+                                // window) must still reach the root — exactly
+                                // as an unbatched per-tuple upcall would have
+                                // continued routing it.
+                                let mut effects = self.overlay.resume_upcall(token, false, now);
                                 if !refused.is_empty() {
+                                    // Arm only when a send follows: `set_trace`
+                                    // is consumed by the next overlay op and
+                                    // must not leak onto unrelated traffic.
                                     self.overlay.set_trace(upcall_ctx);
+                                    effects.extend(
+                                        self.reship_window_partials(kind, namespace, refused, now),
+                                    );
                                 }
-                                effects.extend(self.reship_group_partials(group, refused, now));
+                                return effects;
                             }
-                            return effects;
                         }
+                        Arrival::Data => {}
                     }
                 }
                 self.overlay.resume_upcall(token, true, now)
@@ -1197,90 +1182,60 @@ impl PierNode {
         })
     }
 
-    /// Re-route window partials this node could not absorb toward the
-    /// query's window root (used when a batch was only partially absorbed
-    /// at an upcall hop).
+    /// Re-route window partials this node could not absorb at an upcall hop
+    /// toward the root of the store `kind` names — a query's or a share
+    /// group's — on the namespace they arrived on.
     fn reship_window_partials(
         &mut self,
-        query_id: u64,
+        kind: Arrival,
+        namespace: &str,
         partials: Vec<Tuple>,
         now: SimTime,
     ) -> Vec<OverlayEffect<QpObject>> {
-        if partials.is_empty() {
-            return Vec::new();
-        }
-        let Some(q) = self.queries.get(&query_id) else {
+        let route = match kind {
+            Arrival::WindowPartial(query_id) => self.queries.get(&query_id).map(|q| {
+                let lease = q.cq.as_ref().map_or(0, |cq| cq.spec.lease);
+                (
+                    q.plan.agg_root_key(),
+                    lease.max(self.config.publish_lifetime),
+                )
+            }),
+            Arrival::SharePartial(group) => self
+                .sharing
+                .as_ref()
+                .and_then(|l| l.group_route(group))
+                .map(|r| (r.root_key, self.config.publish_lifetime)),
+            Arrival::AggPartial(_) | Arrival::Data => None,
+        };
+        let Some((root_key, lifetime)) = route else {
             return Vec::new();
         };
-        let window_ns = q.plan.window_namespace();
-        let root_key = q.plan.agg_root_key();
-        let root_id = routing_id(&window_ns, &root_key);
-        let lifetime =
-            q.cq.as_ref()
-                .map_or(0, |cq| cq.spec.lease)
-                .max(self.config.publish_lifetime);
-        let shipment = if partials.len() == 1 {
-            QpObject::Tuple(partials.into_iter().next().expect("len checked"))
-        } else {
-            QpObject::Batch(TupleBatch::new(partials))
-        };
-        let name = ObjectName::new(window_ns, root_key, self.rng.next_u64());
+        let root_id = routing_id(namespace, &root_key);
+        let name = ObjectName::new(namespace, root_key, self.rng.next_u64());
         self.overlay
-            .send_routed(root_id, name, shipment, lifetime, now)
+            .send_routed(root_id, name, QpObject::shipment(partials), lifetime, now)
     }
 
-    /// Re-route share-group window partials this node could not absorb
-    /// toward the group's window root (the shared counterpart of
-    /// [`PierNode::reship_window_partials`]).
-    fn reship_group_partials(
-        &mut self,
-        group: u64,
-        partials: Vec<Tuple>,
-        now: SimTime,
-    ) -> Vec<OverlayEffect<QpObject>> {
-        if partials.is_empty() {
-            return Vec::new();
+    /// Fold one closed-window partial into the relay/root store `kind`
+    /// names: a query's root store or a share group's shared store.  False
+    /// when the store refused it (budget, evicted window, malformed).
+    fn absorb_window_partial(&mut self, kind: Arrival, namespace: &str, partial: &Tuple) -> bool {
+        match kind {
+            Arrival::WindowPartial(query_id) => {
+                let Some(cq) = self.queries.get_mut(&query_id).and_then(|q| q.cq.as_mut()) else {
+                    return false;
+                };
+                let Some((wid, key, acc)) = cq.decode_partial(partial) else {
+                    return false;
+                };
+                cq.root_store.accept_refinement(wid, &key, acc)
+            }
+            Arrival::SharePartial(_) => self
+                .sharing
+                .as_mut()
+                .is_some_and(|l| l.absorb_window_partial(namespace, partial)),
+            Arrival::AggPartial(_) | Arrival::Data => false,
         }
-        let Some(route) = self.sharing.as_ref().and_then(|l| l.group_route(group)) else {
-            return Vec::new();
-        };
-        let root_id = routing_id(&route.namespace, &route.root_key);
-        let lifetime = self.config.publish_lifetime;
-        let shipment = if partials.len() == 1 {
-            QpObject::Tuple(partials.into_iter().next().expect("len checked"))
-        } else {
-            QpObject::Batch(TupleBatch::new(partials))
-        };
-        let name = ObjectName::new(route.namespace, route.root_key, self.rng.next_u64());
-        self.overlay
-            .send_routed(root_id, name, shipment, lifetime, now)
-    }
-
-    fn query_for_partial_namespace(&self, namespace: &str) -> Option<u64> {
-        self.queries
-            .iter()
-            .find(|(_, q)| q.plan.partial_namespace() == namespace)
-            .map(|(id, _)| *id)
-    }
-
-    fn query_for_window_namespace(&self, namespace: &str) -> Option<u64> {
-        self.queries
-            .iter()
-            .find(|(_, q)| q.cq.is_some() && q.plan.window_namespace() == namespace)
-            .map(|(id, _)| *id)
-    }
-
-    fn absorb_window_partial(&mut self, query_id: u64, partial: &Tuple) -> bool {
-        let Some(q) = self.queries.get_mut(&query_id) else {
-            return false;
-        };
-        let Some(cq) = q.cq.as_mut() else {
-            return false;
-        };
-        let Some((wid, key, acc)) = cq.decode_partial(partial) else {
-            return false;
-        };
-        cq.root_store.accept_refinement(wid, &key, acc)
     }
 
     fn absorb_partial(&mut self, query_id: u64, partial: &Tuple) -> bool {
@@ -1296,46 +1251,88 @@ impl PierNode {
         absorbed
     }
 
-    fn route_new_tuple(
+    /// Decide what an arriving object on `namespace` carries — once per
+    /// arrival, from the namespace alone (the four kinds use disjoint
+    /// namespaces), before any of its rows is materialised.  A query's
+    /// partial namespaces are `q{id}.windows` and `q{id}.partials`, so the
+    /// id is parsed out of the name: one lookup, however many queries are
+    /// installed.
+    fn classify(&self, namespace: &str) -> Arrival {
+        let scoped = |suffix: &str| -> Option<(u64, &QueryState)> {
+            let id = namespace
+                .strip_prefix('q')?
+                .strip_suffix(suffix)?
+                .parse()
+                .ok()?;
+            self.queries.get(&id).map(|q| (id, q))
+        };
+        if let Some((id, q)) = scoped(".windows") {
+            if q.cq.is_some() && q.plan.window_namespace() == namespace {
+                return Arrival::WindowPartial(id);
+            }
+        }
+        if let Some(group) = self
+            .sharing
+            .as_ref()
+            .and_then(|l| l.window_group(namespace))
+        {
+            return Arrival::SharePartial(group);
+        }
+        if let Some((id, q)) = scoped(".partials") {
+            if q.plan.partial_namespace() == namespace {
+                return Arrival::AggPartial(id);
+            }
+        }
+        Arrival::Data
+    }
+
+    /// The one arrival path: a streamed tuple (`ingest`), a stored tuple or
+    /// a coalesced batch (`newData`).  Partials fold into the aggregation
+    /// state their namespace names; data becomes one [`TupleBatch`] — a
+    /// single tuple a one-row batch — handed chunk-wise to the sharing layer
+    /// and to every opgraph reading the namespace.
+    fn route_arrival(
         &mut self,
         ctx: &mut ProgramContext<Self>,
         namespace: &str,
-        tuple: Tuple,
+        object: QpObject,
     ) -> Vec<OverlayEffect<QpObject>> {
-        let mut effects = Vec::new();
-        // Closed-window partials arriving at (or relayed through) this node.
-        if let Some(query_id) = self.query_for_window_namespace(namespace) {
-            self.absorb_window_partial(query_id, &tuple);
-            return effects;
-        }
-        // Share-group window partials arriving at the group's root (a
-        // budget-refused arrival is dropped, exactly as per-query partials
-        // are when the root's store refuses them).
-        if let Some(layer) = self.sharing.as_mut() {
-            if layer.absorb_window_partial(namespace, &tuple).is_some() {
-                return effects;
+        match self.classify(namespace) {
+            // Closed-window partials arriving at (or relayed through) this
+            // node, per query or per share group (a budget-refused arrival
+            // is dropped: best effort, as everywhere at the root).
+            kind @ (Arrival::WindowPartial(_) | Arrival::SharePartial(_)) => {
+                for partial in object.iter_tuples() {
+                    self.absorb_window_partial(kind, namespace, &partial);
+                }
             }
-        }
-        // Partial aggregates arriving at the aggregation-tree root.
-        if let Some(query_id) = self.query_for_partial_namespace(namespace) {
-            if let Some(q) = self.queries.get_mut(&query_id) {
-                for g in &mut q.graphs {
-                    if let Some(root) = g.root_merge.as_mut() {
-                        root.merge_partial(&tuple);
+            // Partial aggregates arriving at the aggregation-tree root.
+            Arrival::AggPartial(query_id) => {
+                if let Some(q) = self.queries.get_mut(&query_id) {
+                    for partial in object.iter_tuples() {
+                        for g in &mut q.graphs {
+                            if let Some(root) = g.root_merge.as_mut() {
+                                root.merge_partial(&partial);
+                            }
+                        }
                     }
                 }
             }
-            return effects;
+            Arrival::Data => return self.route_data(ctx, namespace, object),
         }
-        // Shared ingest: hand the tuple to the sharing layer once; its
-        // predicate index fans it out to every member query.  Independent
-        // queries over the same namespace still receive it below.
-        if let Some(layer) = self.sharing.as_mut() {
-            if layer.wants_namespace(namespace) {
-                layer.absorb_tuple(namespace, &tuple, ctx.now());
-            }
-        }
-        // Base-table or rehash-namespace tuples feeding installed opgraphs.
+        Vec::new()
+    }
+
+    /// Feed arriving base-table or rehash-namespace data to the sharing
+    /// layer (one predicate-index scan per chunk, however many member
+    /// queries it serves) and to every installed opgraph reading
+    /// `namespace`.
+    fn route_data(
+        &mut self,
+        ctx: &mut ProgramContext<Self>,
+        namespace: &str,
+        object: QpObject,
+    ) -> Vec<OverlayEffect<QpObject>> {
         let targets: Vec<(u64, usize)> = self
             .queries
             .iter()
@@ -1347,25 +1344,48 @@ impl PierNode {
                     .map(move |(i, _)| (*qid, i))
             })
             .collect();
-        self.ingest_spans(ctx, &targets, 1, tuple.wire_size() as u64);
+        let shared = self
+            .sharing
+            .as_ref()
+            .is_some_and(|l| l.wants_namespace(namespace));
+        if targets.is_empty() && !shared {
+            return Vec::new(); // nobody reads the namespace here
+        }
+        self.ingest_spans(ctx, &targets, &object);
+        let batch = match object {
+            QpObject::Tuple(tuple) => {
+                let mut batch = TupleBatch::default();
+                batch.push_tuple(&tuple);
+                batch
+            }
+            QpObject::Batch(batch) => batch,
+            QpObject::Plan(_) => return Vec::new(),
+        };
+        if let Some(layer) = self.sharing.as_mut().filter(|_| shared) {
+            let now = ctx.now();
+            for chunk in batch.chunks() {
+                layer.absorb_chunk(namespace, chunk, now);
+            }
+        }
+        let mut effects = Vec::new();
         for (qid, gidx) in targets {
-            effects.extend(self.feed_graph(ctx, qid, gidx, tuple.clone()));
+            effects.extend(self.feed_graph_batch(ctx, qid, gidx, &batch));
         }
         effects
     }
 
-    /// Record one `ingest` span per *sampled* query fed by an arriving
-    /// tuple or batch (rows = tuples routed, bytes = payload wire size).
-    /// Target qids are sorted before recording so span ordinals are
-    /// insertion-order independent.
+    /// Record one `ingest` span per *sampled* query fed by an arriving data
+    /// object (rows = tuples routed, bytes = the tuple's or batch's wire
+    /// size, measured only when a span is recorded).  Target qids are
+    /// sorted before recording so span ordinals are insertion-order
+    /// independent.
     fn ingest_spans(
         &mut self,
         ctx: &mut ProgramContext<Self>,
         targets: &[(u64, usize)],
-        rows: u64,
-        bytes: u64,
+        object: &QpObject,
     ) {
-        if !self.tel.is_enabled() || targets.is_empty() {
+        if !self.tel.is_enabled() {
             return;
         }
         let mut qids: Vec<u64> = targets
@@ -1373,8 +1393,17 @@ impl PierNode {
             .map(|(qid, _)| *qid)
             .filter(|qid| self.queries.get(qid).is_some_and(|q| q.plan.trace))
             .collect();
+        if qids.is_empty() {
+            return;
+        }
         qids.sort_unstable();
         qids.dedup();
+        let rows = object.tuple_count() as u64;
+        let bytes = match object {
+            QpObject::Tuple(tuple) => tuple.wire_size(),
+            QpObject::Batch(batch) => batch.wire_size(),
+            QpObject::Plan(_) => 0,
+        } as u64;
         let now = ctx.now();
         for qid in qids {
             let trace_id = trace_id_for(qid);
@@ -1383,81 +1412,6 @@ impl PierNode {
                 now, now, trace_id, span, trace_id, qid, "ingest", rows, bytes, 0,
             );
         }
-    }
-
-    /// Batch counterpart of [`PierNode::route_new_tuple`]: the namespace
-    /// routing and target lookup happen once for the whole batch, and the
-    /// opgraphs consume columnar chunks instead of per-tuple pushes.
-    fn route_new_batch(
-        &mut self,
-        ctx: &mut ProgramContext<Self>,
-        namespace: &str,
-        batch: TupleBatch,
-    ) -> Vec<OverlayEffect<QpObject>> {
-        // Closed-window partials arriving at (or relayed through) this node:
-        // decoding is inherently per-partial (the accumulator is rebuilt
-        // from named columns), but the namespace lookup happens once.
-        if let Some(query_id) = self.query_for_window_namespace(namespace) {
-            for tuple in batch.iter() {
-                self.absorb_window_partial(query_id, &tuple);
-            }
-            return Vec::new();
-        }
-        // Share-group window partials: the first tuple decides whether the
-        // namespace belongs to a share group (namespaces are disjoint).
-        if let Some(layer) = self.sharing.as_mut() {
-            let mut handled = false;
-            for tuple in batch.iter() {
-                if layer.absorb_window_partial(namespace, &tuple).is_none() {
-                    break;
-                }
-                handled = true;
-            }
-            if handled {
-                return Vec::new();
-            }
-        }
-        // Partial aggregates arriving at the aggregation-tree root.
-        if let Some(query_id) = self.query_for_partial_namespace(namespace) {
-            if let Some(q) = self.queries.get_mut(&query_id) {
-                for tuple in batch.iter() {
-                    for g in &mut q.graphs {
-                        if let Some(root) = g.root_merge.as_mut() {
-                            root.merge_partial(&tuple);
-                        }
-                    }
-                }
-            }
-            return Vec::new();
-        }
-        // Shared ingest: each chunk is handed to the sharing layer once —
-        // the dispatch cost of N member queries is one predicate-index scan.
-        if let Some(layer) = self.sharing.as_mut() {
-            if layer.wants_namespace(namespace) {
-                let now = ctx.now();
-                for chunk in batch.chunks() {
-                    layer.absorb_chunk(namespace, chunk, now);
-                }
-            }
-        }
-        // Base-table or rehash-namespace batches feeding installed opgraphs.
-        let targets: Vec<(u64, usize)> = self
-            .queries
-            .iter()
-            .flat_map(|(qid, q)| {
-                q.graphs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, g)| g.spec.source.namespace() == namespace)
-                    .map(move |(i, _)| (*qid, i))
-            })
-            .collect();
-        self.ingest_spans(ctx, &targets, batch.len() as u64, batch.wire_size() as u64);
-        let mut effects = Vec::new();
-        for (qid, gidx) in targets {
-            effects.extend(self.feed_graph_batch(ctx, qid, gidx, &batch));
-        }
-        effects
     }
 
     // ----- query installation and execution ---------------------------------
@@ -1477,11 +1431,10 @@ impl PierNode {
         // Multi-query sharing: offer the plan to the layer first.  A plan
         // that normalizes into a share group installs as a *member* — the
         // executor arms its lifecycle timers but builds no dataflow; the
-        // group's single tick chain starts with its first member.  Plans
-        // marked exclusive skip the offer: shared state is not persisted,
-        // so a durable query keeps its own (rehydratable) stores.
-        let exclusive = plan.cq.as_ref().is_some_and(|cq| cq.exclusive);
-        if let Some(layer) = self.sharing.as_mut().filter(|_| !exclusive) {
+        // group's single tick chain starts with its first member.  The
+        // layer alone decides shareability (exclusive and shed plans never
+        // share).
+        if let Some(layer) = self.sharing.as_mut() {
             if layer.renew(query_id, ctx.now()) {
                 return; // re-dissemination of a shared standing query
             }
@@ -1694,81 +1647,14 @@ impl PierNode {
         }
     }
 
-    fn feed_graph(
-        &mut self,
-        ctx: &mut ProgramContext<Self>,
-        query_id: u64,
-        graph_idx: usize,
-        tuple: Tuple,
-    ) -> Vec<OverlayEffect<QpObject>> {
-        let outputs = {
-            let Some(q) = self.queries.get_mut(&query_id) else {
-                return Vec::new();
-            };
-            // Shed-to-sampling: a degraded plan keeps one in `sample_every`
-            // *source* rows (query-scoped namespaces — rehashed join sides,
-            // shipped partials — are derived data and pass untouched).  The
-            // counter is per query per node, so equal-seed runs thin
-            // identically.
-            if q.plan.sample_every > 1 && !is_query_scoped_table(tuple.table()) {
-                q.ingest_seen += 1;
-                if (q.ingest_seen - 1) % u64::from(q.plan.sample_every) != 0 {
-                    return Vec::new();
-                }
-            }
-            let Some(g) = q.graphs.get_mut(graph_idx) else {
-                return Vec::new();
-            };
-            // Two-input join fed from the rehash namespace: the tuple's table
-            // name tells us which side it belongs to.
-            let staged: Vec<Tuple> = match (&mut g.join, &g.spec.join) {
-                (Some(join), Some(join_spec)) => {
-                    if tuple.table() == join_spec.left_table {
-                        join.push_side(JoinSide::Left, tuple)
-                    } else if tuple.table() == join_spec.right_table {
-                        join.push_side(JoinSide::Right, tuple)
-                    } else {
-                        Vec::new() // unknown table: discard (best effort)
-                    }
-                }
-                _ => vec![tuple],
-            };
-            let mut outputs = Vec::new();
-            for t in staged {
-                outputs.extend(g.pipeline.push(t));
-            }
-            // Hierarchical aggregation absorbs outputs into the uplink buffer.
-            if let Some(uplink) = g.uplink.as_mut() {
-                for t in outputs.drain(..) {
-                    uplink.push(t);
-                }
-            }
-            // Windowed continuous aggregation folds outputs into the window
-            // store; per-window results travel at window ticks, not now.
-            if let Some(cq) = q.cq.as_mut() {
-                if cq.graph_idx == graph_idx {
-                    let now = ctx.now();
-                    for t in outputs.drain(..) {
-                        Self::cq_absorb(cq, &t, now);
-                    }
-                }
-            }
-            outputs
-        };
-        if outputs.is_empty() {
-            return Vec::new();
-        }
-        self.deliver_sink(ctx, query_id, graph_idx, outputs)
-    }
-
-    /// Batch counterpart of [`PierNode::feed_graph`]: joins consume whole
-    /// columnar chunks ([`SymmetricHashJoin::push_chunk`]), plain pipelines
-    /// consume the batch **chunk-to-chunk** via `Pipeline::push_batch`
-    /// (every stage hands the next a re-chunked survivor batch), uplink
+    /// Push an arriving batch through one opgraph, chunk-to-chunk: joins
+    /// consume whole columnar chunks
+    /// ([`SymmetricHashJoin::push_chunk_batch`]), the pipeline hands each
+    /// stage a re-chunked survivor batch (`Pipeline::push_batch`), uplink
     /// aggregation absorbs the survivors chunk-wise, and a windowed graph
-    /// with a pass-through pipeline absorbs chunks straight into the window
-    /// store ([`PierNode::cq_absorb_chunk`]) — no per-tuple dispatch on any
-    /// of these paths; rows materialise only at the sink boundary.
+    /// folds chunks straight into the window store
+    /// ([`PierNode::cq_absorb_chunk`]).  Rows materialise only at the sink
+    /// boundary.
     fn feed_graph_batch(
         &mut self,
         ctx: &mut ProgramContext<Self>,
@@ -1777,24 +1663,19 @@ impl PierNode {
         batch: &TupleBatch,
     ) -> Vec<OverlayEffect<QpObject>> {
         let now = ctx.now();
-        // A shed plan samples per row; the chunk fast path would keep or
-        // drop whole chunks.  Degrade to per-tuple feeding — shed mode is
-        // already the degraded mode, fidelity of the thinning matters more
-        // than batch throughput.
-        if self
-            .queries
-            .get(&query_id)
-            .is_some_and(|q| q.plan.sample_every > 1)
-        {
-            let mut effects = Vec::new();
-            for tuple in batch.iter() {
-                effects.extend(self.feed_graph(ctx, query_id, graph_idx, tuple));
-            }
-            return effects;
-        }
         let outputs = {
             let Some(q) = self.queries.get_mut(&query_id) else {
                 return Vec::new();
+            };
+            let sampled;
+            let batch = if q.plan.sample_every > 1 {
+                sampled = sample_rows(&mut q.ingest_seen, q.plan.sample_every, batch);
+                if sampled.is_empty() {
+                    return Vec::new();
+                }
+                &sampled
+            } else {
+                batch
             };
             let cq_direct = q.cq.as_ref().is_some_and(|cq| cq.graph_idx == graph_idx)
                 && q.graphs
@@ -1981,29 +1862,24 @@ impl PierNode {
                     }
                 }
             }
+            // Dataflow outputs of aggregating graphs are absorbed in
+            // `feed_graph_batch`; reaching here means fetch-join results fed
+            // one, and they are absorbed the same way, chunk-wise.
             SinkSpec::HierarchicalAgg { .. } => {
-                // Handled in feed_graph (outputs are absorbed into uplink);
-                // reaching here means a fetch-join result fed an agg graph,
-                // which we also absorb.
-                if let Some(q) = self.queries.get_mut(&query_id) {
-                    if let Some(g) = q.graphs.get_mut(graph_idx) {
-                        if let Some(uplink) = g.uplink.as_mut() {
-                            for t in tuples {
-                                uplink.push(t);
-                            }
-                        }
-                    }
+                let uplink = self
+                    .queries
+                    .get_mut(&query_id)
+                    .and_then(|q| q.graphs.get_mut(graph_idx))
+                    .and_then(|g| g.uplink.as_mut());
+                if let Some(uplink) = uplink {
+                    uplink.push_batch(&TupleBatch::new(tuples));
                 }
             }
             SinkSpec::WindowedAgg { .. } => {
-                // Like hierarchical aggregation: a fetch-join result feeding
-                // a windowed graph is folded into the window store.
                 let now = ctx.now();
-                if let Some(q) = self.queries.get_mut(&query_id) {
-                    if let Some(cq) = q.cq.as_mut() {
-                        for t in tuples {
-                            Self::cq_absorb(cq, &t, now);
-                        }
+                if let Some(cq) = self.queries.get_mut(&query_id).and_then(|q| q.cq.as_mut()) {
+                    for chunk in TupleBatch::new(tuples).chunks() {
+                        Self::cq_absorb_chunk(cq, chunk, now);
                     }
                 }
             }
@@ -2026,14 +1902,9 @@ impl PierNode {
         // message order, so it must not depend on hash seeding.
         let mut by_key: Vec<(String, Vec<Tuple>)> = buf.by_key.into_iter().collect();
         by_key.sort_by(|a, b| a.0.cmp(&b.0));
-        for (key, mut tuples) in by_key {
+        for (key, tuples) in by_key {
             let name = ObjectName::new(namespace.to_string(), key, self.rng.next_u64());
-            let value = if tuples.len() == 1 {
-                QpObject::Tuple(tuples.pop().expect("len checked"))
-            } else {
-                QpObject::Batch(TupleBatch::new(tuples))
-            };
-            entries.push((name, value, lifetime));
+            entries.push((name, QpObject::shipment(tuples), lifetime));
         }
         self.overlay.put_batch(entries, now)
     }
@@ -2114,15 +1985,10 @@ impl PierNode {
                             SinkSpec::HierarchicalAgg { final_ops, .. } => final_ops.clone(),
                             _ => Vec::new(),
                         };
-                        let mut finisher = Pipeline::new(
+                        let finisher = Pipeline::new(
                             final_ops.iter().filter_map(OperatorSpec::build).collect(),
                         );
-                        let mut out = Vec::new();
-                        for t in merged {
-                            out.extend(finisher.push(t));
-                        }
-                        out.extend(finisher.flush());
-                        final_results.extend(out);
+                        final_results.extend(finisher.finish(merged));
                     }
                 }
             }
@@ -2428,69 +2294,15 @@ impl PierNode {
         }
     }
 
-    /// Fold one dataflow output into the query's window store.  Columns are
-    /// resolved to schema indices once per input schema, not per tuple.
-    fn cq_absorb(cq: &mut CqState, tuple: &Tuple, now: SimTime) {
-        let event_time = cq
-            .time_ref
-            .as_mut()
-            .and_then(|c| c.get(tuple))
-            .and_then(Value::as_i64)
-            .map_or(now, |v| v.max(0) as u64);
-        let Some(indices) = cq.group_resolver.indices(tuple) else {
-            return; // malformed tuple: discard
-        };
-        let key = tuple.key_at(indices);
-        let vals: Vec<Value> = indices.iter().map(|&i| tuple.values()[i].clone()).collect();
-        let dedup = if cq.dedup_refs.is_empty() {
-            None
-        } else {
-            // A tuple missing a dedup column is treated as unique.
-            let mut out = String::with_capacity(12 * cq.dedup_refs.len());
-            for (i, col) in cq.dedup_refs.iter_mut().enumerate() {
-                if i > 0 {
-                    out.push('|');
-                }
-                match col.get(tuple) {
-                    Some(v) => v.write_key(&mut out),
-                    None => out.push('∅'),
-                }
-            }
-            Some(out)
-        };
-        let agg_values: Vec<Option<&Value>> = cq
-            .agg_inputs
-            .iter_mut()
-            .map(|input| input.as_mut().and_then(|c| c.get(tuple)))
-            .collect();
-        let aggs = &cq.aggs;
-        cq.store.push(
-            event_time,
-            &key,
-            dedup.as_deref(),
-            || GroupAgg {
-                vals: vals.clone(),
-                states: aggs.iter().map(AggFunc::init).collect(),
-            },
-            |acc| {
-                for ((agg, value), state) in aggs.iter().zip(&agg_values).zip(acc.states.iter_mut())
-                {
-                    state.update_with(agg, *value);
-                }
-            },
-        );
-    }
-
-    /// Chunk-at-a-time counterpart of [`PierNode::cq_absorb`] — the batch
-    /// path of the CQ window absorb loop.  The event-time, group, dedup and
-    /// aggregate-input columns all resolve against the chunk's schema once;
-    /// the per-row work is column indexing only.
+    /// Fold a chunk of dataflow outputs into the query's window store.  The
+    /// event-time, group, dedup and aggregate-input columns all resolve
+    /// against the chunk's schema once; the per-row work is column
+    /// indexing only.
     fn cq_absorb_chunk(cq: &mut CqState, chunk: &ColumnChunk, now: SimTime) {
         let schema = chunk.schema();
         let Some(group_idxs) = cq.group_resolver.indices_for(schema) else {
             return; // malformed chunk: discard (best-effort policy)
         };
-        let group_idxs = group_idxs.to_vec();
         let time_idx = cq.time_ref.as_mut().and_then(|c| c.index_for(schema));
         let dedup_idxs: Vec<Option<usize>> = cq
             .dedup_refs
@@ -2507,7 +2319,7 @@ impl PierNode {
             let event_time = time_idx
                 .and_then(|i| chunk.col(i).value_ref(r).as_i64())
                 .map_or(now, |v| v.max(0) as u64);
-            let key = chunk.key_at(&group_idxs, r);
+            let key = chunk.key_at(group_idxs, r);
             let dedup = if dedup_idxs.is_empty() {
                 None
             } else {
@@ -2622,18 +2434,13 @@ impl PierNode {
                     .collect();
                 rows.sort_by_cached_key(std::string::ToString::to_string);
                 if !cq.final_ops.is_empty() {
-                    let mut finisher = Pipeline::new(
+                    let finisher = Pipeline::new(
                         cq.final_ops
                             .iter()
                             .filter_map(OperatorSpec::build)
                             .collect(),
                     );
-                    let mut finished = Vec::new();
-                    for t in rows {
-                        finished.extend(finisher.push(t));
-                    }
-                    finished.extend(finisher.flush());
-                    rows = finished;
+                    rows = finisher.finish(rows);
                 }
                 let deltas = cq.tracker.emit(wid, rows);
                 if !deltas.is_empty() {
@@ -3392,6 +3199,7 @@ impl Program for PierNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn netmon_rows(n: i64) -> Vec<Tuple> {
         (0..n)
@@ -3436,23 +3244,116 @@ mod tests {
         out
     }
 
+    /// Fold `rows` into the window store chunk by chunk, as the executor
+    /// does for one arriving batch.
+    fn absorb_all(cq: &mut CqState, rows: Vec<Tuple>, now: SimTime) {
+        for chunk in TupleBatch::new(rows).chunks() {
+            PierNode::cq_absorb_chunk(cq, chunk, now);
+        }
+    }
+
+    /// `(window, group values, finished aggregates)` rows in a canonical
+    /// order, without the store's internal group key.
+    fn without_keys(
+        rows: Vec<(u64, String, Vec<Value>, Vec<Value>)>,
+    ) -> Vec<(u64, Vec<Value>, Vec<Value>)> {
+        let mut out: Vec<_> = rows.into_iter().map(|(w, _, g, a)| (w, g, a)).collect();
+        out.sort_by_cached_key(|(w, g, _)| (*w, format!("{g:?}")));
+        out
+    }
+
+    /// The reference the window absorb is checked against: every row folded
+    /// into each (window, group) its `ts` falls in, one row at a time.
+    fn reference_fold(cq: &CqState, rows: &[Tuple]) -> Vec<(u64, Vec<Value>, Vec<Value>)> {
+        let mut groups: BTreeMap<(u64, String), (Vec<Value>, Vec<AggState>)> = BTreeMap::new();
+        for t in rows {
+            let ts = t.get("ts").and_then(Value::as_i64).expect("row has ts");
+            let src = t.get("src").expect("row has src").clone();
+            for wid in cq.window.windows_containing(ts.max(0) as u64) {
+                let (_, states) = groups.entry((wid, src.to_string())).or_insert_with(|| {
+                    (
+                        vec![src.clone()],
+                        cq.aggs.iter().map(AggFunc::init).collect(),
+                    )
+                });
+                for (agg, state) in cq.aggs.iter().zip(states.iter_mut()) {
+                    state.update_with(agg, agg.input_column().and_then(|c| t.get(c)));
+                }
+            }
+        }
+        let mut out: Vec<_> = groups
+            .into_iter()
+            .map(|((wid, _), (vals, states))| {
+                (wid, vals, states.iter().map(AggState::finish).collect())
+            })
+            .collect();
+        out.sort_by_cached_key(|(w, g, _)| (*w, format!("{g:?}")));
+        out
+    }
+
     #[test]
-    fn cq_chunk_absorb_equals_per_tuple_absorb() {
+    fn cq_chunk_absorb_equals_reference_fold() {
         let rows = netmon_rows(400);
-        let mut per_tuple = windowed_cq_state();
-        let mut chunked = windowed_cq_state();
+        let mut whole = windowed_cq_state();
+        let mut row_at_a_time = windowed_cq_state();
+        let expected = reference_fold(&whole, &rows);
+        assert!(!expected.is_empty(), "the workload must populate windows");
         let now = 1_000_000;
         for t in &rows {
-            PierNode::cq_absorb(&mut per_tuple, t, now);
+            PierNode::cq_absorb_chunk(&mut row_at_a_time, &ColumnChunk::from_tuple(t), now);
         }
-        let batch = TupleBatch::new(rows);
-        for chunk in batch.chunks() {
-            PierNode::cq_absorb_chunk(&mut chunked, chunk, now);
+        absorb_all(&mut whole, rows, now);
+        assert_eq!(without_keys(drain_canonical(&mut whole)), expected);
+        assert_eq!(without_keys(drain_canonical(&mut row_at_a_time)), expected);
+    }
+
+    #[test]
+    fn sample_rows_keeps_exactly_the_counter_rule_rows() {
+        let rows = netmon_rows(200);
+        let every = 4u32;
+        // seen = i + 1, so the rule `(seen - 1) % every == 0` keeps i % every == 0.
+        let expected: Vec<Tuple> = rows.iter().step_by(every as usize).cloned().collect();
+        // Row by row, one single-row batch per arrival.
+        let mut seen = 0;
+        let mut kept = Vec::new();
+        for t in &rows {
+            kept.extend(
+                sample_rows(&mut seen, every, &TupleBatch::new(vec![t.clone()])).into_tuples(),
+            );
         }
-        let a = drain_canonical(&mut per_tuple);
-        let b = drain_canonical(&mut chunked);
-        assert!(!a.is_empty(), "the workload must populate windows");
-        assert_eq!(a, b);
+        assert_eq!(kept, expected);
+        assert_eq!(seen, rows.len() as u64);
+        // One batch made of chunks of 1, 7 or 64 rows.
+        for size in [1, 7, 64] {
+            let batch = TupleBatch::from_chunks(
+                rows.chunks(size)
+                    .map(|part| TupleBatch::new(part.to_vec()).chunks()[0].clone())
+                    .collect(),
+            );
+            assert_eq!(batch.chunks().len(), rows.len().div_ceil(size));
+            let mut seen = 0;
+            assert_eq!(
+                sample_rows(&mut seen, every, &batch).into_tuples(),
+                expected,
+                "chunks of {size}"
+            );
+            assert_eq!(seen, rows.len() as u64);
+        }
+        // Query-scoped tables are derived data: they pass untouched and do
+        // not advance the counter, even interleaved with source rows.
+        let derived: Vec<Tuple> = (0..10)
+            .map(|i| Tuple::new("q7.agg", vec![("x", Value::Int(i))]))
+            .collect();
+        let mut mixed = derived.clone();
+        mixed.extend(rows[..8].iter().cloned());
+        mixed.extend(derived.iter().cloned());
+        let mut seen = 0;
+        let out = sample_rows(&mut seen, every, &TupleBatch::new(mixed)).into_tuples();
+        let mut want = derived.clone();
+        want.extend([rows[0].clone(), rows[4].clone()]);
+        want.extend(derived);
+        assert_eq!(out, want);
+        assert_eq!(seen, 8);
     }
 
     #[test]
@@ -3507,9 +3408,7 @@ mod tests {
     #[test]
     fn persisted_cq_state_rehydrates_warm() {
         let mut cq = windowed_cq_state();
-        for t in netmon_rows(120) {
-            PierNode::cq_absorb(&mut cq, &t, 0);
-        }
+        absorb_all(&mut cq, netmon_rows(120), 0);
         let durable = DurableStore::new();
         PierNode::persist_cq(&durable, 7, &cq);
         let (local_key, _) = PierNode::segment_keys(7);
@@ -3527,9 +3426,7 @@ mod tests {
     #[test]
     fn persist_compacts_once_the_log_outgrows_the_bound() {
         let mut cq = windowed_cq_state();
-        for t in netmon_rows(50) {
-            PierNode::cq_absorb(&mut cq, &t, 0);
-        }
+        absorb_all(&mut cq, netmon_rows(50), 0);
         let durable = DurableStore::new();
         PierNode::persist_cq(&durable, 1, &cq);
         let after_one = durable.total_bytes();

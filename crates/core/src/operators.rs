@@ -31,28 +31,19 @@ use std::sync::Arc;
 /// A push-based local operator.
 pub trait LocalOperator: std::fmt::Debug {
     /// Push one tuple in; returns zero or more output tuples that flow to the
-    /// parent immediately.
+    /// parent immediately.  The executor never calls this: it is the
+    /// per-row reference that the batch path is tested against.
     fn push(&mut self, tuple: Tuple) -> Vec<Tuple>;
 
     /// Push a whole [`TupleBatch`] in; the survivors come back as a
     /// **re-chunked batch** (same-schema runs preserved), so a stack of
     /// stages passes columnar chunks from one to the next without ever
-    /// exploding into per-tuple dispatch.  The default materialises each row
-    /// and calls [`LocalOperator::push`]; operators on the batched hot path
-    /// (selection, projection, group-by, distinct, the eddy) override it to
-    /// resolve columns once per [`ColumnChunk`] and scan — or mask-filter —
-    /// the chunk's columns directly.  Overrides must produce exactly the
-    /// rows the per-row default would, in the same order (the
-    /// batching-equivalence and property tests pin this).
-    fn push_batch(&mut self, batch: &TupleBatch) -> TupleBatch {
-        let mut out = TupleBatch::default();
-        for t in batch.iter() {
-            for produced in self.push(t) {
-                out.push_tuple(&produced);
-            }
-        }
-        out
-    }
+    /// exploding into per-tuple dispatch.  Operators resolve columns once
+    /// per [`ColumnChunk`] and scan — or mask-filter — the chunk's columns
+    /// directly.  This is the executor's only entry point; it must produce
+    /// exactly the rows [`LocalOperator::push`] would, row by row, in the
+    /// same order (the batching-equivalence and property tests pin this).
+    fn push_batch(&mut self, batch: &TupleBatch) -> TupleBatch;
 
     /// Emit whatever the operator has been buffering (group-by results,
     /// top-k heaps, …).  Pass-through operators return nothing.
@@ -112,7 +103,7 @@ impl LocalOperator for Selection {
         for chunk in batch.chunks() {
             let compiled = self.predicate.for_schema(chunk.schema());
             let mask = compiled.eval_column(chunk);
-            out.push_chunk(chunk.filter(&mask));
+            out.push_filtered(chunk, &mask);
         }
         out
     }
@@ -266,7 +257,7 @@ impl LocalOperator for Distinct {
                         .collect(),
                 }
             };
-            out.push_chunk(chunk.filter(&mask));
+            out.push_filtered(chunk, &mask);
         }
         out
     }
@@ -718,17 +709,11 @@ impl SymmetricHashJoin {
 
     /// Insert a tuple arriving on `side`; returns the join results it
     /// produces immediately.  The tuple lands in the shared chunk-native
-    /// state as a one-row chunk.
+    /// state as a one-row chunk.  The per-row reference for
+    /// [`SymmetricHashJoin::push_chunk_batch`], which the executor uses.
     pub fn push_side(&mut self, side: JoinSide, tuple: Tuple) -> Vec<Tuple> {
         let chunk = ColumnChunk::from_tuple(&tuple);
         self.push_chunk_batch(side, &chunk).into_tuples()
-    }
-
-    /// Insert a whole columnar chunk arriving on `side`, materialising the
-    /// joined output as owned tuples — a compatibility wrapper over
-    /// [`SymmetricHashJoin::push_chunk_batch`] for per-tuple consumers.
-    pub fn push_chunk(&mut self, side: JoinSide, chunk: &ColumnChunk) -> Vec<Tuple> {
-        self.push_chunk_batch(side, chunk).into_tuples()
     }
 
     /// Insert a whole columnar chunk arriving on `side` and emit the joined
@@ -911,7 +896,9 @@ impl Pipeline {
         self.meters = Some((tel.clone(), meters));
     }
 
-    /// Push one tuple through every stage.
+    /// Push one tuple through every stage: the per-row reference that
+    /// [`Pipeline::push_batch`] is tested against (the executor only pushes
+    /// batches).
     pub fn push(&mut self, tuple: Tuple) -> Vec<Tuple> {
         let mut current = vec![tuple];
         for (i, stage) in self.stages.iter_mut().enumerate() {
@@ -996,6 +983,16 @@ impl Pipeline {
             carried = released;
         }
         carried.into_tuples()
+    }
+
+    /// Run `rows` through the pipeline to completion — one batch push, then
+    /// a flush — returning every output in order.  This is how finishers
+    /// (`HAVING`, `TOP k`, projections over merged groups) turn a complete
+    /// set of rows into an answer.
+    pub fn finish(mut self, rows: Vec<Tuple>) -> Vec<Tuple> {
+        let mut out = self.push_batch(&TupleBatch::new(rows)).into_tuples();
+        out.extend(self.flush());
+        out
     }
 
     /// Number of stages.
@@ -1340,10 +1337,18 @@ mod tests {
         }
         let mut got = Vec::new();
         for chunk in TupleBatch::new(left).chunks() {
-            got.extend(chunked.push_chunk(JoinSide::Left, chunk));
+            got.extend(
+                chunked
+                    .push_chunk_batch(JoinSide::Left, chunk)
+                    .into_tuples(),
+            );
         }
         for chunk in TupleBatch::new(right).chunks() {
-            got.extend(chunked.push_chunk(JoinSide::Right, chunk));
+            got.extend(
+                chunked
+                    .push_chunk_batch(JoinSide::Right, chunk)
+                    .into_tuples(),
+            );
         }
         assert_eq!(got.len(), expected.len());
         let canon = |v: &[Tuple]| {

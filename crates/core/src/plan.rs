@@ -434,6 +434,16 @@ impl QpObject {
         }
     }
 
+    /// The object shipping `tuples` to one destination: a lone tuple
+    /// travels bare, several as one [`TupleBatch`].
+    pub(crate) fn shipment(mut tuples: Vec<Tuple>) -> QpObject {
+        if tuples.len() == 1 {
+            QpObject::Tuple(tuples.pop().expect("len checked"))
+        } else {
+            QpObject::Batch(TupleBatch::new(tuples))
+        }
+    }
+
     /// Number of data tuples this object carries (0 for plans).
     pub fn tuple_count(&self) -> usize {
         match self {

@@ -188,25 +188,19 @@ pub trait MultiQuerySharing: std::fmt::Debug + Send {
     /// reading it (the shared ingest: one scan, N members).
     fn absorb_chunk(&mut self, namespace: &str, chunk: &ColumnChunk, now: SimTime);
 
-    /// Absorb one arriving tuple (the unbatched delivery path).  The
-    /// default wraps it into a one-row chunk and reuses
-    /// [`MultiQuerySharing::absorb_chunk`]; layers with a cheaper row path
-    /// can override.
-    fn absorb_tuple(&mut self, namespace: &str, tuple: &Tuple, now: SimTime) {
-        let batch = crate::tuple::TupleBatch::new(vec![tuple.clone()]);
-        for chunk in batch.chunks() {
-            self.absorb_chunk(namespace, chunk, now);
-        }
-    }
+    /// The live share group whose window-partial namespace is `namespace`,
+    /// if any — the executor classifies every arrival by namespace once,
+    /// before touching its rows.
+    fn window_group(&self, namespace: &str) -> Option<u64>;
 
-    /// Absorb a relayed closed-window partial if `namespace` belongs to a
-    /// share group.  `None` when it does not (the executor continues its
-    /// own routing); `Some((group, absorbed))` otherwise — `absorbed` is
-    /// `false` when the group's budget refused the partial.  At **upcall
-    /// (en-route) hops** the executor re-ships refused partials toward the
-    /// root so a relay's budget cannot lose them; a refusal at the root
-    /// itself is a drop, exactly like the per-query best-effort policy.
-    fn absorb_window_partial(&mut self, namespace: &str, tuple: &Tuple) -> Option<(u64, bool)>;
+    /// Absorb a relayed closed-window partial into the share group whose
+    /// window namespace is `namespace`.  `false` when no live group owns
+    /// the namespace, or the group refused the partial (budget, malformed).
+    /// At **upcall (en-route) hops** the executor re-ships refused partials
+    /// toward the root so a relay's budget cannot lose them; a refusal at
+    /// the root itself is a drop, exactly like the per-query best-effort
+    /// policy.
+    fn absorb_window_partial(&mut self, namespace: &str, tuple: &Tuple) -> bool;
 
     /// The partial route of a live group; `None` once the group is retired
     /// (which also stops the executor's tick chain).

@@ -831,6 +831,19 @@ impl TupleBatch {
         self.chunks.push(chunk);
     }
 
+    /// Append the rows of `chunk` that `mask` keeps: nothing when it keeps
+    /// none, the chunk as it is when it keeps all, a filtered copy
+    /// otherwise.  Mask-filtering operators emit through this, so a chunk
+    /// that passes or fails whole costs no gather.
+    pub(crate) fn push_filtered(&mut self, chunk: &ColumnChunk, mask: &[bool]) {
+        let kept = mask.iter().filter(|&&keep| keep).count();
+        if kept == chunk.rows() {
+            self.push_chunk(chunk.clone());
+        } else if kept > 0 {
+            self.push_chunk(chunk.filter(mask));
+        }
+    }
+
     /// Append one borrowed tuple, extending the last chunk when the schema
     /// matches (so incrementally built batches still form same-schema runs).
     pub fn push_tuple(&mut self, tuple: &Tuple) {

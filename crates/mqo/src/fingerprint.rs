@@ -18,8 +18,11 @@
 //! then constant within each group, so a member's answer is precisely the
 //! subset of shared groups its predicate accepts).  [`normalize`] returns
 //! `None` for anything else — joins, rehash sinks, window-scoped dedup,
-//! predicates over non-grouping columns — and the executor falls back to
+//! predicates over non-grouping columns, exclusive (durable) plans and
+//! plans admission shed to sampling — and the executor falls back to
 //! independent execution, so sharing never changes results, only cost.
+//! This is the single shareability decision: the executor offers every
+//! plan, and admission's `share_eligible` is this function's answer.
 //!
 //! Output semantics (`DELTAS` vs snapshots), per-member `TOP k` finishers
 //! and lease durations are *member-level*: they live in each member's
@@ -69,6 +72,11 @@ pub struct ShareCandidate {
 /// independently — normalization never rejects a query, only sharing).
 pub fn normalize(plan: &QueryPlan) -> Option<ShareCandidate> {
     let cq = plan.cq.as_ref()?;
+    // An exclusive plan keeps its own (persistable) stores, and a shed plan
+    // samples its source rows — a shared store would run it at full rate.
+    if cq.exclusive || plan.sample_every > 1 {
+        return None;
+    }
     if plan.dissemination != Dissemination::Broadcast || plan.opgraphs.len() != 1 {
         return None;
     }
@@ -318,6 +326,15 @@ mod tests {
         assert!(normalize(&compile("SELECT src, COUNT(*) FROM packets GROUP BY src",)).is_none());
         // Plain select (no CQ lifecycle).
         assert!(normalize(&compile("SELECT src FROM packets WHERE src = 'x'")).is_none());
+        // A shareable shape stops sharing once exclusive or shed.
+        let sql = "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 2s SLIDE 1s";
+        assert!(normalize(&compile(sql)).is_some());
+        let mut exclusive = compile(sql);
+        exclusive.cq.as_mut().expect("standing query").exclusive = true;
+        assert!(normalize(&exclusive).is_none());
+        let mut shed = compile(sql);
+        shed.sample_every = 4;
+        assert!(normalize(&shed).is_none());
     }
 
     #[test]

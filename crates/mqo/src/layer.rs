@@ -338,14 +338,9 @@ impl ShareGroup {
                 // twice per comparison.
                 rows.sort_by_cached_key(std::string::ToString::to_string);
                 if !m.final_ops.is_empty() {
-                    let mut finisher =
+                    let finisher =
                         Pipeline::new(m.final_ops.iter().filter_map(OperatorSpec::build).collect());
-                    let mut finished = Vec::new();
-                    for t in rows {
-                        finished.extend(finisher.push(t));
-                    }
-                    finished.extend(finisher.flush());
-                    rows = finished;
+                    rows = finisher.finish(rows);
                 }
                 rows
             });
@@ -571,12 +566,21 @@ impl MultiQuerySharing for MqoLayer {
         }
     }
 
-    fn absorb_window_partial(&mut self, namespace: &str, tuple: &Tuple) -> Option<(u64, bool)> {
-        let fp = *self.window_ns.get(namespace)?;
-        let group = self.groups.get_mut(&fp)?;
+    fn window_group(&self, namespace: &str) -> Option<u64> {
+        self.window_ns.get(namespace).copied()
+    }
+
+    fn absorb_window_partial(&mut self, namespace: &str, tuple: &Tuple) -> bool {
+        let Some(group) = self
+            .window_ns
+            .get(namespace)
+            .and_then(|fp| self.groups.get_mut(fp))
+        else {
+            return false;
+        };
         match group.decode_partial(tuple) {
-            Some((wid, key, acc)) => Some((fp, group.state.absorb_partial(wid, &key, acc))),
-            None => Some((fp, false)), // malformed: refused, best effort
+            Some((wid, key, acc)) => group.state.absorb_partial(wid, &key, acc),
+            None => false, // malformed: refused, best effort
         }
     }
 
@@ -739,20 +743,16 @@ mod tests {
         let route = relay.group_route(group).expect("group is live");
         // The root absorbs the relayed partials and derives per-member
         // results from them.
+        assert_eq!(root.window_group(&route.namespace), Some(group));
         for partial in &shipped.partials {
-            let (g, absorbed) = root
-                .absorb_window_partial(&route.namespace, partial)
-                .expect("group namespace");
-            assert_eq!(g, group);
-            assert!(absorbed);
+            assert!(root.absorb_window_partial(&route.namespace, partial));
         }
         let out = root.tick(group, 120_000_000, true);
         assert!(out.emissions.iter().any(|e| e.query_id == 1));
         assert!(out.emissions.iter().any(|e| e.query_id == 2));
         // Unknown namespaces are not the layer's.
-        assert!(root
-            .absorb_window_partial("packets", &shipped.partials[0])
-            .is_none());
+        assert_eq!(root.window_group("packets"), None);
+        assert!(!root.absorb_window_partial("packets", &shipped.partials[0]));
     }
 
     #[test]

@@ -167,10 +167,9 @@ fn many_tenants_static_reports_bound_measured_telemetry() {
 #[test]
 fn chaos_static_reports_bound_measured_telemetry() {
     let mut cfg = ChaosConfig::standard(12, 3);
+    // `run_chaos` executes share-eligible tenants through `pier-mqo`, so
+    // admission charges follow-on members marginally.
     cfg.pier.admission = Some(admission_factory);
-    // The chaos driver runs share-eligible tenants through `pier-mqo`;
-    // mirror that in the policy so follow-on members charge marginally.
-    cfg.pier.slo.shared_execution = true;
 
     let stream_secs = cfg.baseline_secs + cfg.degraded_secs + cfg.heal_secs + cfg.storm_secs;
     let mut reports = vec![report_for(

@@ -406,7 +406,7 @@ fn join_chunk_probe_matches_per_tuple_probe_on_netmon_rehash() {
                 Some(s) if s == *side => run.push(t.clone()),
                 Some(s) => {
                     for chunk in TupleBatch::new(std::mem::take(&mut run)).chunks() {
-                        got.extend(chunked.push_chunk(s, chunk));
+                        got.extend(chunked.push_chunk_batch(s, chunk).into_tuples());
                     }
                     run_side = Some(*side);
                     run.push(t.clone());
@@ -419,7 +419,7 @@ fn join_chunk_probe_matches_per_tuple_probe_on_netmon_rehash() {
         }
         if let Some(s) = run_side {
             for chunk in TupleBatch::new(run).chunks() {
-                got.extend(chunked.push_chunk(s, chunk));
+                got.extend(chunked.push_chunk_batch(s, chunk).into_tuples());
             }
         }
     }

@@ -429,9 +429,9 @@ proptest! {
         );
         ref_out.extend(
             ref_join
-                .push_chunk(JoinSide::Left, &left.reference)
+                .push_chunk_batch(JoinSide::Left, &left.reference)
                 .iter()
-                .map(Tuple::to_string),
+                .map(|t| t.to_string()),
         );
         typed_out.extend(
             typed_join
@@ -441,9 +441,9 @@ proptest! {
         );
         ref_out.extend(
             ref_join
-                .push_chunk(JoinSide::Right, &right_ref)
+                .push_chunk_batch(JoinSide::Right, &right_ref)
                 .iter()
-                .map(Tuple::to_string),
+                .map(|t| t.to_string()),
         );
         typed_out.sort();
         ref_out.sort();
