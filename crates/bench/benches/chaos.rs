@@ -54,8 +54,8 @@ fn main() {
         out.fault_counts.restarts
     );
     println!(
-        "chaos_warm_restart              {} windows rehydrated on nodes {:?}",
-        out.rehydrated_windows, out.restarted
+        "chaos_warm_restart              {} windows rehydrated on nodes {:?}, {} by the tenants' share group",
+        out.rehydrated_windows, out.restarted, out.tenant_rehydrated_windows
     );
     emit_metric("chaos", "events", out.events as f64);
     emit_metric("chaos", "windows", out.windows.len() as f64);
@@ -63,6 +63,11 @@ fn main() {
     emit_metric("chaos", "degraded_rel_error", degraded_err);
     emit_metric("chaos", "recovery_secs", recovery.unwrap_or(-1.0));
     emit_metric("chaos", "rehydrated_windows", out.rehydrated_windows as f64);
+    emit_metric(
+        "chaos",
+        "tenant_rehydrated_windows",
+        out.tenant_rehydrated_windows as f64,
+    );
     emit_metric("chaos", "tenant_coverage", out.tenant_coverage);
     emit_metric("chaos", "losses", out.fault_counts.losses as f64);
     emit_metric(
@@ -99,6 +104,10 @@ fn main() {
     assert!(
         out.rehydrated_windows > 0,
         "a restarted node must rejoin with warm windows from its segment log"
+    );
+    assert!(
+        out.tenant_rehydrated_windows > 0,
+        "a restarted node must re-create the tenants' share group with warm windows"
     );
     assert!(
         out.fault_counts.losses > 0 && out.fault_counts.partition_drops > 0,

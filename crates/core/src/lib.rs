@@ -34,6 +34,10 @@
 //!   Fetch Matches index joins, hierarchical aggregation with in-network
 //!   combining, rehash-based Symmetric Hash joins, proxy result delivery
 //!   and timeout-based query termination (§3.3.2).
+//! * [`window_agg`] — the one windowed-aggregation engine: a standing
+//!   windowed GROUP BY serving 1..N member queries (an independent query is
+//!   an engine of one, a `pier-mqo` share group an engine of many), with
+//!   one partial codec, one tick and one durable persist/rehydrate path.
 //! * [`sqlish`] — the "naive SQL-like language" front end of §4.2: a small
 //!   SELECT-FROM-WHERE-GROUP BY parser and planner, reflecting the paper's
 //!   observation that users preferred SQL to raw UFL.
@@ -77,6 +81,7 @@ pub mod sharing;
 pub mod sqlish;
 pub mod tuple;
 pub mod value;
+pub mod window_agg;
 
 pub use admission::{
     AdmissionControl, AdmissionDecision, AdmissionFactory, AdmissionVerdict, EnvModel, SloBudget,
@@ -89,7 +94,7 @@ pub use eddy::{
     OBS_HALF_LIFE_ROWS,
 };
 pub use expr::{ArithOp, CmpOp, CompiledExpr, CompiledPredicate, EvalError, Expr};
-pub use node::{CqDiagnostics, PierConfig, PierMsg, PierNode, PierOut, PierTimer};
+pub use node::{PierConfig, PierMsg, PierNode, PierOut, PierTimer};
 pub use operators::{
     nested_loop_join, BloomFilter, Distinct, GroupBy, JoinSide, Limit, LocalOperator, Pipeline,
     Projection, Queue, Selection, SymmetricHashJoin, TopK,
@@ -104,10 +109,10 @@ pub use plan::{
 pub use range_index::RangeIndexConfig;
 pub use recursive::TransitiveClosure;
 pub use sharing::{
-    GroupRoute, InstallOutcome, MultiQuerySharing, SharedEmission, SharingFactory, SharingStats,
-    TickOutput, UninstallOutcome,
+    InstallOutcome, MultiQuerySharing, SharingFactory, SharingStats, UninstallOutcome,
 };
 pub use tuple::{
     ChunkRow, ColumnChunk, ColumnRef, ColumnResolver, Schema, SchemaRegistry, Tuple, TupleBatch,
 };
 pub use value::{Value, ValueRef};
+pub use window_agg::{CqDiagnostics, Emission, TickOutput, WindowAgg};

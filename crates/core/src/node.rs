@@ -16,20 +16,16 @@
 //! stops when the query's timeout expires.
 
 use crate::admission::{AdmissionControl, AdmissionFactory, AdmissionVerdict, SloPolicy};
-use crate::aggregate::{AggFunc, AggState, PartialDecoder};
 use crate::operators::{GroupBy, JoinSide, LocalOperator, Pipeline, SymmetricHashJoin};
 use crate::plan::{CqSpec, Dissemination, OpGraph, OperatorSpec, QpObject, QueryPlan, SinkSpec};
 use crate::sharing::{
-    is_share_scoped_table, InstallOutcome, MultiQuerySharing, SharingFactory, SharingStats,
+    group_tag, is_share_scoped_table, InstallOutcome, MultiQuerySharing, SharingFactory,
+    SharingStats,
 };
-use crate::tuple::{
-    ColumnChunk, ColumnRef, ColumnResolver, Schema, SchemaRegistry, Tuple, TupleBatch,
-};
+use crate::tuple::{SchemaRegistry, Tuple, TupleBatch};
 use crate::value::Value;
-use pier_cq::{
-    Delta, DeltaTracker, DurableStore, Lease, LeaseStatus, RehydrateReport, RenewalBackoff,
-    SegmentCodec, SegmentLog, WindowAccumulator, WindowId, WindowSpec, WindowStats, WindowStore,
-};
+use crate::window_agg::{CqDiagnostics, Emission, WindowAgg};
+use pier_cq::{DurableStore, Lease, LeaseStatus, RenewalBackoff};
 use pier_dht::{
     routing_id, DhtMessage, Id, NodeRef, ObjectName, Overlay, OverlayConfig, OverlayEffect,
     OverlayEvent, OverlayTimer,
@@ -37,7 +33,7 @@ use pier_dht::{
 use pier_runtime::{Duration, NodeAddr, Program, ProgramContext, Rng64, SimTime, WireSize};
 use pier_telemetry::{SpanRecord, Telemetry, TelemetryConfig};
 use pier_trace::{trace_id_for, TraceConfig, TraceContext};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Tuning knobs for a PIER node.
@@ -74,11 +70,14 @@ pub struct PierConfig {
     /// cluster through PIER itself.
     pub telemetry: TelemetryConfig,
     /// Durable window segments: when set, every window tick snapshots the
-    /// node's continuous-query window state into this [`DurableStore`]
-    /// (keys `q{id}.local` / `q{id}.root`), and a node restarted with the
-    /// *same* store handle rehydrates warm windows when the query's next
-    /// re-dissemination re-installs it, instead of recomputing retained
-    /// panes from scratch.  `None` (the default) keeps all state soft.
+    /// ticked engine's window state into this [`DurableStore`] — keys
+    /// `q{id}.local` / `q{id}.root` for a standalone continuous query,
+    /// `g{fp:016x}.local` / `g{fp:016x}.root` for a share group — and a node
+    /// restarted with the *same* store handle rehydrates warm windows when
+    /// the next re-dissemination re-installs the query (or re-creates the
+    /// group), instead of recomputing retained panes from scratch.  A
+    /// teardown (or a group's retirement) drops the engine's segments.
+    /// `None` (the default) keeps all state soft.
     pub durable: Option<DurableStore>,
     /// Optional admission-control layer constructor (`pier_analyze`): when
     /// set, every plan submitted at this node is statically costed *before
@@ -222,8 +221,8 @@ pub enum PierTimer {
     BatchFlush,
     /// Periodic window maintenance for one **share group** of the sharing
     /// layer: one tick chain per group *incarnation*, however many member
-    /// queries it serves (the shared counterpart of
-    /// [`PierTimer::WindowTick`]).
+    /// queries it serves.  It runs the same tick as
+    /// [`PierTimer::WindowTick`], on the group's engine.
     ShareTick {
         /// The share group (plan fingerprint) being ticked.
         group: u64,
@@ -312,220 +311,39 @@ struct GraphState {
     root_merge: Option<GroupBy>,
 }
 
-/// One group's mergeable window accumulator: the grouping values plus one
-/// partial [`AggState`] per aggregate — the window engine of `pier-cq`
-/// parameterised with `pier-core`'s aggregate machinery.
-#[derive(Debug, Clone)]
-struct GroupAgg {
-    vals: Vec<Value>,
-    states: Vec<AggState>,
-}
-
-impl WindowAccumulator for GroupAgg {
-    fn merge(&mut self, other: &Self) {
-        for (mine, theirs) in self.states.iter_mut().zip(&other.states) {
-            mine.merge(theirs);
-        }
-    }
-}
-
-// Lossless little-endian byte codec for the durable window segments of
-// `pier-cq`: floats are persisted as raw IEEE-754 bits, so a rehydrated
-// accumulator is *exactly* the one that was snapshotted and re-encoding it
-// reproduces identical bytes (the round-trip contract of [`SegmentCodec`]).
-// Scalars serialise through the shared wire codec ([`Value::encode`]) — one
-// tagged-LE value format for DHT messages and durable segments alike.
-
-fn seg_put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn seg_put_opt_value(buf: &mut Vec<u8>, v: &Option<Value>) {
-    match v {
-        None => buf.push(0),
-        Some(v) => {
-            buf.push(1);
-            v.encode(buf);
-        }
-    }
-}
-
-fn seg_put_state(buf: &mut Vec<u8>, state: &AggState) {
-    match state {
-        AggState::Count(n) => {
-            buf.push(0);
-            seg_put_u64(buf, *n);
-        }
-        AggState::Sum(s) => {
-            buf.push(1);
-            seg_put_u64(buf, s.to_bits());
-        }
-        AggState::Min(v) => {
-            buf.push(2);
-            seg_put_opt_value(buf, v);
-        }
-        AggState::Max(v) => {
-            buf.push(3);
-            seg_put_opt_value(buf, v);
-        }
-        AggState::Avg { sum, count } => {
-            buf.push(4);
-            seg_put_u64(buf, sum.to_bits());
-            seg_put_u64(buf, *count);
-        }
-    }
-}
-
-struct SegReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SegReader<'a> {
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let end = self.pos.checked_add(8)?;
-        let raw: [u8; 8] = self.bytes.get(self.pos..end)?.try_into().ok()?;
-        self.pos = end;
-        Some(u64::from_le_bytes(raw))
-    }
-
-    fn value(&mut self) -> Option<Value> {
-        let (v, used) = Value::decode(self.bytes.get(self.pos..)?)?;
-        self.pos += used;
-        Some(v)
-    }
-
-    fn opt_value(&mut self) -> Option<Option<Value>> {
-        Some(match self.u8()? {
-            0 => None,
-            1 => Some(self.value()?),
-            _ => return None,
-        })
-    }
-
-    fn state(&mut self) -> Option<AggState> {
-        Some(match self.u8()? {
-            0 => AggState::Count(self.u64()?),
-            1 => AggState::Sum(f64::from_bits(self.u64()?)),
-            2 => AggState::Min(self.opt_value()?),
-            3 => AggState::Max(self.opt_value()?),
-            4 => AggState::Avg {
-                sum: f64::from_bits(self.u64()?),
-                count: self.u64()?,
-            },
-            _ => return None,
-        })
-    }
-}
-
-impl SegmentCodec for GroupAgg {
-    fn encode_state(&self, buf: &mut Vec<u8>) {
-        seg_put_u64(buf, self.vals.len() as u64);
-        for v in &self.vals {
-            v.encode(buf);
-        }
-        seg_put_u64(buf, self.states.len() as u64);
-        for s in &self.states {
-            seg_put_state(buf, s);
-        }
-    }
-
-    fn decode_state(bytes: &[u8]) -> Option<Self> {
-        let mut r = SegReader { bytes, pos: 0 };
-        let nv = usize::try_from(r.u64()?).ok()?;
-        if nv > bytes.len() {
-            return None; // length prefix cannot exceed the payload
-        }
-        let mut vals = Vec::with_capacity(nv);
-        for _ in 0..nv {
-            vals.push(r.value()?);
-        }
-        let ns = usize::try_from(r.u64()?).ok()?;
-        if ns > bytes.len() {
-            return None;
-        }
-        let mut states = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            states.push(r.state()?);
-        }
-        if r.pos != bytes.len() {
-            return None; // trailing garbage: not a clean snapshot
-        }
-        Some(GroupAgg { vals, states })
-    }
-}
-
-/// Runtime state of one continuous (windowed) query at one node.
+/// Runtime state of one independently executed continuous query at one
+/// node: its window engine (the query as the one member) plus what only
+/// the executor keeps per query.
 #[derive(Debug)]
 struct CqState {
-    spec: CqSpec,
-    window: WindowSpec,
-    group_cols: Vec<String>,
-    aggs: Vec<AggFunc>,
-    final_ops: Vec<OperatorSpec>,
-    /// Group columns resolved to schema indices once per input schema.
-    group_resolver: ColumnResolver,
-    /// Per-aggregate input column (`None` for `COUNT(*)`), resolved once
-    /// per input schema.
-    agg_inputs: Vec<Option<ColumnRef>>,
-    /// Event-time column, resolved once per input schema.
-    time_ref: Option<ColumnRef>,
-    /// Window-scoped dedup columns (a missing column keys as "∅").
-    dedup_refs: Vec<ColumnRef>,
-    /// Interned shape of the closed-window partials shipped to the root.
-    partial_schema: Arc<Schema>,
-    /// Compiled positional decode of arriving partials, cached per schema
-    /// (single entry, pointer-keyed — see [`PartialDecodeCache`]).
-    partial_decode: Option<PartialDecodeCache>,
-    /// Interned shape of the per-window result rows emitted at the root.
-    result_schema: Arc<Schema>,
+    engine: WindowAgg,
     /// Index of the opgraph feeding the windows.
     graph_idx: usize,
-    /// Node-local window accumulation over this node's share of the stream.
-    store: WindowStore<GroupAgg>,
-    /// Partials absorbed while travelling toward (or arriving at) the
-    /// query's window root; closes one slide after `store` so relayed
-    /// partials have time to arrive.
-    root_store: WindowStore<GroupAgg>,
-    /// Root-side emission tracker implementing snapshot/delta output.
-    tracker: DeltaTracker<Tuple>,
     /// Soft-state lease granted by (re)dissemination.
     lease: Lease,
-    /// Windows this node emitted to the proxy as root.
-    windows_emitted: u64,
     /// Shed tuples+groups already reported to telemetry (delta baseline for
     /// the `window_shed` trace event).
     tel_shed: u64,
     /// Evicted windows already reported to telemetry (delta baseline for
     /// the `window_evict` trace event).
     tel_evicted: u64,
-    /// Windows restored from durable segments when this installation
-    /// rehydrated (0 for a cold install) — the warm-restart diagnostic.
-    rehydrated_windows: u64,
 }
 
-impl CqState {
-    /// Per-window result rows are retired from the delta tracker once they
-    /// are this many windows old (late refinements beyond that are dropped).
-    fn retention_windows(&self) -> u64 {
-        self.window.windows_per_event() + 4
-    }
+/// A window engine the executor drives.
+#[derive(Debug, Clone, Copy)]
+enum EngineId {
+    /// The engine of an independently executed continuous query.
+    Query(u64),
+    /// A share group's engine, held by the sharing layer.
+    Group(u64),
 }
 
 /// What an arriving object carries, decided from its namespace alone
 /// ([`PierNode::classify`]).
 #[derive(Debug, Clone, Copy)]
 enum Arrival {
-    /// Closed-window partials of an installed continuous query.
-    WindowPartial(u64),
-    /// Closed-window partials of a share group.
-    SharePartial(u64),
+    /// Closed-window partials of a window engine.
+    WindowPartial(EngineId),
     /// Hierarchical-aggregation partials of an installed query.
     AggPartial(u64),
     /// Base-table or rehash-namespace rows for the dataflow.
@@ -1128,11 +946,11 @@ impl PierNode {
                                 return self.overlay.resume_upcall(token, false, now);
                             }
                         }
-                        kind @ (Arrival::WindowPartial(_) | Arrival::SharePartial(_)) => {
+                        Arrival::WindowPartial(engine) => {
                             let mut absorbed = false;
                             let mut refused: Vec<Tuple> = Vec::new();
                             for partial in object.value.iter_tuples() {
-                                if self.absorb_window_partial(kind, namespace, &partial) {
+                                if self.absorb_window_partial(engine, &partial) {
                                     absorbed = true;
                                 } else {
                                     refused.push(partial);
@@ -1150,9 +968,8 @@ impl PierNode {
                                     // is consumed by the next overlay op and
                                     // must not leak onto unrelated traffic.
                                     self.overlay.set_trace(upcall_ctx);
-                                    effects.extend(
-                                        self.reship_window_partials(kind, namespace, refused, now),
-                                    );
+                                    effects
+                                        .extend(self.reship_window_partials(engine, refused, now));
                                 }
                                 return effects;
                             }
@@ -1182,60 +999,57 @@ impl PierNode {
         })
     }
 
+    /// The window engine `id` names, if it is live here.
+    fn engine(&self, id: EngineId) -> Option<&WindowAgg> {
+        match id {
+            EngineId::Query(query_id) => {
+                self.queries.get(&query_id)?.cq.as_ref().map(|c| &c.engine)
+            }
+            EngineId::Group(group) => self.sharing.as_ref()?.engine(group),
+        }
+    }
+
+    /// Mutable access to the window engine `id` names.
+    fn engine_mut(&mut self, id: EngineId) -> Option<&mut WindowAgg> {
+        match id {
+            EngineId::Query(query_id) => self
+                .queries
+                .get_mut(&query_id)?
+                .cq
+                .as_mut()
+                .map(|c| &mut c.engine),
+            EngineId::Group(group) => self.sharing.as_mut()?.engine_mut(group),
+        }
+    }
+
     /// Re-route window partials this node could not absorb at an upcall hop
-    /// toward the root of the store `kind` names — a query's or a share
-    /// group's — on the namespace they arrived on.
+    /// toward the root of the engine they belong to.
     fn reship_window_partials(
         &mut self,
-        kind: Arrival,
-        namespace: &str,
+        id: EngineId,
         partials: Vec<Tuple>,
         now: SimTime,
     ) -> Vec<OverlayEffect<QpObject>> {
-        let route = match kind {
-            Arrival::WindowPartial(query_id) => self.queries.get(&query_id).map(|q| {
-                let lease = q.cq.as_ref().map_or(0, |cq| cq.spec.lease);
-                (
-                    q.plan.agg_root_key(),
-                    lease.max(self.config.publish_lifetime),
-                )
-            }),
-            Arrival::SharePartial(group) => self
-                .sharing
-                .as_ref()
-                .and_then(|l| l.group_route(group))
-                .map(|r| (r.root_key, self.config.publish_lifetime)),
-            Arrival::AggPartial(_) | Arrival::Data => None,
-        };
-        let Some((root_key, lifetime)) = route else {
+        let Some(engine) = self.engine(id) else {
             return Vec::new();
         };
-        let root_id = routing_id(namespace, &root_key);
+        let root_id = engine.root_id();
+        let (namespace, root_key) = (
+            engine.namespace().to_string(),
+            engine.root_key().to_string(),
+        );
         let name = ObjectName::new(namespace, root_key, self.rng.next_u64());
+        let shipment = QpObject::shipment(partials);
+        let lifetime = self.config.publish_lifetime;
         self.overlay
-            .send_routed(root_id, name, QpObject::shipment(partials), lifetime, now)
+            .send_routed(root_id, name, shipment, lifetime, now)
     }
 
-    /// Fold one closed-window partial into the relay/root store `kind`
-    /// names: a query's root store or a share group's shared store.  False
-    /// when the store refused it (budget, evicted window, malformed).
-    fn absorb_window_partial(&mut self, kind: Arrival, namespace: &str, partial: &Tuple) -> bool {
-        match kind {
-            Arrival::WindowPartial(query_id) => {
-                let Some(cq) = self.queries.get_mut(&query_id).and_then(|q| q.cq.as_mut()) else {
-                    return false;
-                };
-                let Some((wid, key, acc)) = cq.decode_partial(partial) else {
-                    return false;
-                };
-                cq.root_store.accept_refinement(wid, &key, acc)
-            }
-            Arrival::SharePartial(_) => self
-                .sharing
-                .as_mut()
-                .is_some_and(|l| l.absorb_window_partial(namespace, partial)),
-            Arrival::AggPartial(_) | Arrival::Data => false,
-        }
+    /// Fold one closed-window partial into the relay/root store of engine
+    /// `id`.  False when it was refused (budget, evicted window, malformed).
+    fn absorb_window_partial(&mut self, id: EngineId, partial: &Tuple) -> bool {
+        self.engine_mut(id)
+            .is_some_and(|engine| engine.absorb_partial(partial))
     }
 
     fn absorb_partial(&mut self, query_id: u64, partial: &Tuple) -> bool {
@@ -1268,7 +1082,7 @@ impl PierNode {
         };
         if let Some((id, q)) = scoped(".windows") {
             if q.cq.is_some() && q.plan.window_namespace() == namespace {
-                return Arrival::WindowPartial(id);
+                return Arrival::WindowPartial(EngineId::Query(id));
             }
         }
         if let Some(group) = self
@@ -1276,7 +1090,7 @@ impl PierNode {
             .as_ref()
             .and_then(|l| l.window_group(namespace))
         {
-            return Arrival::SharePartial(group);
+            return Arrival::WindowPartial(EngineId::Group(group));
         }
         if let Some((id, q)) = scoped(".partials") {
             if q.plan.partial_namespace() == namespace {
@@ -1301,9 +1115,9 @@ impl PierNode {
             // Closed-window partials arriving at (or relayed through) this
             // node, per query or per share group (a budget-refused arrival
             // is dropped: best effort, as everywhere at the root).
-            kind @ (Arrival::WindowPartial(_) | Arrival::SharePartial(_)) => {
+            Arrival::WindowPartial(engine) => {
                 for partial in object.iter_tuples() {
-                    self.absorb_window_partial(kind, namespace, &partial);
+                    self.absorb_window_partial(engine, &partial);
                 }
             }
             // Partial aggregates arriving at the aggregation-tree root.
@@ -1456,17 +1270,35 @@ impl PierNode {
                 ctx.set_timer(plan.timeout, PierTimer::QueryEnd { query_id });
                 ctx.set_timer(lease, PierTimer::CqLease { query_id });
                 if new_group {
+                    // A re-created group rehydrates warm, exactly as a
+                    // re-installed standalone query does.
+                    if let Some(engine) = layer.engine_mut(group) {
+                        let owner = ("group", format!("{group:016x}"));
+                        Self::rehydrate(self.config.durable.as_ref(), &self.tel, engine, owner);
+                    }
                     ctx.set_timer(slide, PierTimer::ShareTick { group, epoch });
                 }
                 return;
             }
         }
         let agg_root_id = routing_id(&plan.partial_namespace(), &plan.agg_root_key());
-        let mut cq = Self::build_cq_state(&plan, ctx.now());
+        let mut cq = plan.windowed_sink().and_then(|(graph_idx, _)| {
+            Some(CqState {
+                engine: WindowAgg::for_query(&plan)?,
+                graph_idx,
+                lease: Lease::granted(ctx.now(), plan.cq.unwrap_or_default().lease),
+                tel_shed: 0,
+                tel_evicted: 0,
+            })
+        });
         if let Some(cq) = cq.as_mut() {
-            // Warm restart: rehydrate retained panes from durable segments
-            // (a no-op on cold installs or without a durable store).
-            self.rehydrate_cq(query_id, cq);
+            let owner = ("query_id", query_id.to_string());
+            Self::rehydrate(
+                self.config.durable.as_ref(),
+                &self.tel,
+                &mut cq.engine,
+                owner,
+            );
         }
         let mut graphs = Vec::new();
         let mut has_agg = false;
@@ -1516,8 +1348,8 @@ impl PierNode {
             })
             .unwrap_or(2_000_000);
         let has_cq = cq.is_some();
-        let cq_slide = cq.as_ref().map_or(0, |c| c.window.slide);
-        let cq_lease = cq.as_ref().map_or(0, |c| c.spec.lease);
+        let cq_slide = cq.as_ref().map_or(0, |c| c.engine.window().slide);
+        let cq_lease = cq.as_ref().map_or(0, |c| c.lease.duration);
         self.tel.inc("query.installs");
         self.tel.event("query_install", || {
             vec![
@@ -1611,25 +1443,22 @@ impl PierNode {
             self.tel.event("query_teardown", || {
                 vec![("query_id", query_id.to_string())]
             });
-            // A deliberate teardown means the query is over everywhere it
-            // matters: its durable segments will never be rehydrated, so
-            // drop them rather than leak "disk".
-            if q.cq.is_some() {
-                if let Some(durable) = self.config.durable.as_ref() {
-                    let (local_key, root_key) = Self::segment_keys(query_id);
-                    durable.remove(&local_key);
-                    durable.remove(&root_key);
-                }
+            if let Some(cq) = q.cq.as_ref() {
+                self.drop_segments(cq.engine.tag());
             }
             SchemaRegistry::global().sweep_matching(is_query_scoped_table);
             return;
         }
         // Share-group members tear down through the layer: the group's
-        // refcount drops, and retiring its last member sweeps both the
-        // group's interned shapes (`g{fp:016x}.…`) and any unreferenced
-        // query-scoped ones (the member's result schema).
+        // refcount drops, and retiring its last member drops the group's
+        // segments and sweeps both its interned shapes (`g{fp:016x}.…`)
+        // and any unreferenced query-scoped ones (the member's result
+        // schema).
         if let Some(layer) = self.sharing.as_mut() {
             let out = layer.uninstall(query_id);
+            if let Some(group) = out.retired_group {
+                self.drop_segments(&group_tag(group));
+            }
             if out.was_member {
                 self.tel.event("share_leave", || {
                     let retired = out
@@ -1647,13 +1476,51 @@ impl PierNode {
         }
     }
 
+    /// A deliberate teardown means an engine is over everywhere it matters:
+    /// its durable segments will never be rehydrated, so drop them rather
+    /// than leak "disk".
+    fn drop_segments(&self, tag: &str) {
+        if let Some(durable) = self.config.durable.as_ref() {
+            for key in WindowAgg::segment_keys(tag) {
+                durable.remove(&key);
+            }
+        }
+    }
+
+    /// Warm restart: rebuild a freshly built engine's retained panes from
+    /// durable segments, so a restarted node serves warm windows from its
+    /// first tick instead of recomputing them (a no-op on cold installs or
+    /// without a durable store).  `owner` names the query or group in the
+    /// `window.rehydrate` event.
+    fn rehydrate(
+        durable: Option<&DurableStore>,
+        tel: &Telemetry,
+        engine: &mut WindowAgg,
+        owner: (&'static str, String),
+    ) {
+        let Some(total) = durable.and_then(|d| engine.rehydrate(d)) else {
+            return;
+        };
+        tel.add("cq.rehydrated_windows", total.windows as u64);
+        tel.event("window.rehydrate", || {
+            vec![
+                owner,
+                ("windows", total.windows.to_string()),
+                ("groups", total.groups.to_string()),
+                ("tuples", total.tuples.to_string()),
+                ("skipped", total.skipped.to_string()),
+                ("torn_tail", total.torn_tail.to_string()),
+            ]
+        });
+    }
+
     /// Push an arriving batch through one opgraph, chunk-to-chunk: joins
     /// consume whole columnar chunks
     /// ([`SymmetricHashJoin::push_chunk_batch`]), the pipeline hands each
     /// stage a re-chunked survivor batch (`Pipeline::push_batch`), uplink
     /// aggregation absorbs the survivors chunk-wise, and a windowed graph
     /// folds chunks straight into the window store
-    /// ([`PierNode::cq_absorb_chunk`]).  Rows materialise only at the sink
+    /// ([`WindowAgg::absorb_chunk`]).  Rows materialise only at the sink
     /// boundary.
     fn feed_graph_batch(
         &mut self,
@@ -1684,7 +1551,7 @@ impl PierNode {
             if cq_direct {
                 let cq = q.cq.as_mut().expect("checked above");
                 for chunk in batch.chunks() {
-                    Self::cq_absorb_chunk(cq, chunk, now);
+                    cq.engine.absorb_chunk(chunk, now, None);
                 }
                 TupleBatch::default()
             } else {
@@ -1727,7 +1594,7 @@ impl PierNode {
                 if let Some(cq) = q.cq.as_mut() {
                     if cq.graph_idx == graph_idx {
                         for chunk in outputs.chunks() {
-                            Self::cq_absorb_chunk(cq, chunk, now);
+                            cq.engine.absorb_chunk(chunk, now, None);
                         }
                         outputs = TupleBatch::default();
                     }
@@ -1879,7 +1746,7 @@ impl PierNode {
                 let now = ctx.now();
                 if let Some(cq) = self.queries.get_mut(&query_id).and_then(|q| q.cq.as_mut()) {
                     for chunk in TupleBatch::new(tuples).chunks() {
-                        Self::cq_absorb_chunk(cq, chunk, now);
+                        cq.engine.absorb_chunk(chunk, now, None);
                     }
                 }
             }
@@ -2048,464 +1915,41 @@ impl PierNode {
             }
         }
     }
-}
 
-/// The positional layout of a closed-window partial within one interned
-/// schema: `_w`, the group columns, and one [`PartialDecoder`] per
-/// aggregate.  Compiled once per schema (normally just the query's interned
-/// `q{id}.wp` shape) and reused for every relayed partial.
-#[derive(Debug)]
-struct CompiledPartialLayout {
-    w: usize,
-    groups: Vec<usize>,
-    aggs: Vec<PartialDecoder>,
-}
-
-/// Single-entry per-schema cache for [`CompiledPartialLayout`], keyed by
-/// schema pointer identity (sound because schemas are interned).  `compiled`
-/// is `None` when the schema is malformed for this query — every partial of
-/// that shape is then discarded without re-resolving names.
-#[derive(Debug)]
-struct PartialDecodeCache {
-    schema: Arc<Schema>,
-    compiled: Option<CompiledPartialLayout>,
-}
-
-impl CqState {
-    /// Decode a closed-window partial tuple into its window id, group key
-    /// and mergeable accumulator.  `None` for malformed tuples (best-effort
-    /// policy, as everywhere).  The `_w`/group/aggregate columns resolve to
-    /// positional indices **once per schema** — mirroring what
-    /// `cq_absorb_chunk` does for data chunks — so the per-partial work on
-    /// the relay path is index access only.
-    fn decode_partial(&mut self, tuple: &Tuple) -> Option<(WindowId, String, GroupAgg)> {
-        let schema = tuple.schema();
-        let hit = self
-            .partial_decode
-            .as_ref()
-            .is_some_and(|c| Arc::ptr_eq(&c.schema, schema));
-        if !hit {
-            let compiled = (|| {
-                let w = schema.position("_w")?;
-                let groups: Vec<usize> = self
-                    .group_cols
-                    .iter()
-                    .map(|c| schema.position(c))
-                    .collect::<Option<_>>()?;
-                let aggs: Vec<PartialDecoder> = self
-                    .aggs
-                    .iter()
-                    .map(|a| PartialDecoder::compile(a, schema))
-                    .collect::<Option<_>>()?;
-                Some(CompiledPartialLayout { w, groups, aggs })
-            })();
-            self.partial_decode = Some(PartialDecodeCache {
-                schema: Arc::clone(schema),
-                compiled,
-            });
-        }
-        let layout = self
-            .partial_decode
-            .as_ref()
-            .expect("cache populated above")
-            .compiled
-            .as_ref()?;
-        let values = tuple.values();
-        let wid = values[layout.w].as_i64()?;
-        let vals: Vec<Value> = layout.groups.iter().map(|&i| values[i].clone()).collect();
-        let key = tuple.key_at(&layout.groups);
-        let states: Option<Vec<AggState>> = layout
-            .aggs
-            .iter()
-            .zip(&self.aggs)
-            .map(|(decoder, agg)| decoder.decode(agg, values))
-            .collect();
-        Some((
-            wid.max(0) as u64,
-            key,
-            GroupAgg {
-                vals,
-                states: states?,
-            },
-        ))
-    }
-}
-
-/// Diagnostics of a continuous query installed at a node (tests and the
-/// bench harness assert bounded state through this).
-#[derive(Debug, Clone, Copy)]
-pub struct CqDiagnostics {
-    /// Activity counters of the node-local window store.
-    pub local: WindowStats,
-    /// Activity counters of the relay/root window store.
-    pub root: WindowStats,
-    /// Open windows across both stores.
-    pub open_windows: usize,
-    /// Groups held across both stores (the node's CQ state footprint).
-    pub total_groups: usize,
-    /// Windows the root-side delta tracker currently remembers.
-    pub tracked_emissions: usize,
-    /// Per-window emissions this node sent to the proxy as root.
-    pub windows_emitted: u64,
-    /// Lease renewals observed since installation.
-    pub lease_renewals: u32,
-    /// Windows rehydrated from durable segments at installation (0 on a
-    /// cold install): nonzero means this node restarted warm.
-    pub rehydrated_windows: u64,
-}
-
-impl PierNode {
-    fn build_cq_state(plan: &QueryPlan, now: SimTime) -> Option<CqState> {
-        let (graph_idx, sink) = plan.windowed_sink()?;
-        let SinkSpec::WindowedAgg {
-            window,
-            group_cols,
-            aggs,
-            time_col,
-            dedup_cols,
-            delta,
-            final_ops,
-        } = sink
-        else {
-            return None;
-        };
-        let spec = plan.cq.unwrap_or_default();
-        // Both shipped shapes are fixed by the sink spec, so their schemas
-        // intern once at installation rather than once per emitted tuple.
-        let partial_schema = {
-            let mut columns = vec!["_w".to_string()];
-            columns.extend(group_cols.iter().cloned());
-            for agg in aggs {
-                let col = agg.output_column();
-                if matches!(agg, AggFunc::Avg(_)) {
-                    columns.push(col.clone());
-                    columns.push(format!("{col}_sum"));
-                    columns.push(format!("{col}_count"));
-                } else {
-                    columns.push(col);
-                }
-            }
-            SchemaRegistry::global().intern_owned(format!("q{}.wp", plan.query_id), columns)
-        };
-        let result_schema = {
-            let mut columns = vec!["window_start".to_string(), "window_end".to_string()];
-            columns.extend(group_cols.iter().cloned());
-            columns.extend(aggs.iter().map(AggFunc::output_column));
-            SchemaRegistry::global().intern_owned(format!("q{}.win", plan.query_id), columns)
-        };
-        Some(CqState {
-            spec,
-            window: *window,
-            group_cols: group_cols.clone(),
-            aggs: aggs.clone(),
-            final_ops: final_ops.clone(),
-            group_resolver: ColumnResolver::new(group_cols.clone()),
-            agg_inputs: aggs
-                .iter()
-                .map(|a| a.input_column().map(ColumnRef::new))
-                .collect(),
-            time_ref: time_col.clone().map(ColumnRef::new),
-            dedup_refs: dedup_cols.iter().cloned().map(ColumnRef::new).collect(),
-            partial_schema,
-            partial_decode: None,
-            result_schema,
-            graph_idx,
-            store: WindowStore::new(*window, spec.budget),
-            // The root store closes one slide later so partials relayed
-            // from other nodes have time to arrive and combine.
-            root_store: WindowStore::new(
-                window.with_grace(window.grace + window.slide),
-                spec.budget,
-            ),
-            tracker: DeltaTracker::new(*delta),
-            lease: Lease::granted(now, spec.lease),
-            windows_emitted: 0,
-            tel_shed: 0,
-            tel_evicted: 0,
-            rehydrated_windows: 0,
-        })
-    }
-
-    /// A per-store segment log larger than this is compacted (rewritten as
-    /// one fresh snapshot) on the next persist.
-    const SEGMENT_COMPACT_BYTES: usize = 1 << 20;
-
-    /// Durable-store keys of one query's two window stores.
-    fn segment_keys(query_id: u64) -> (String, String) {
-        (format!("q{query_id}.local"), format!("q{query_id}.root"))
-    }
-
-    /// Rehydrate a freshly built [`CqState`] from durable window segments,
-    /// if the node has a [`DurableStore`] holding any.  Called on the
-    /// install path *before* the state is inserted, so a restarted node
-    /// serves warm windows from its first tick: re-dissemination re-installs
-    /// the query and the retained panes come back from the segment log
-    /// instead of being recomputed.
-    fn rehydrate_cq(&self, query_id: u64, cq: &mut CqState) {
-        let Some(durable) = self.config.durable.as_ref() else {
-            return;
-        };
-        let (local_key, root_key) = Self::segment_keys(query_id);
-        let mut total = RehydrateReport::default();
-        for (key, store) in [(local_key, &mut cq.store), (root_key, &mut cq.root_store)] {
-            let Some(log) = durable.get(&key) else {
-                continue;
-            };
-            let report = store.rehydrate_from(&log);
-            total.windows += report.windows;
-            total.groups += report.groups;
-            total.tuples += report.tuples;
-            total.records += report.records;
-            total.skipped += report.skipped;
-            total.torn_tail |= report.torn_tail;
-        }
-        if total.records == 0 && !total.torn_tail {
-            return; // nothing durable for this query: a genuinely cold start
-        }
-        cq.rehydrated_windows = total.windows as u64;
-        self.tel.add("cq.rehydrated_windows", total.windows as u64);
-        self.tel.event("window.rehydrate", || {
-            vec![
-                ("query_id", query_id.to_string()),
-                ("windows", total.windows.to_string()),
-                ("groups", total.groups.to_string()),
-                ("tuples", total.tuples.to_string()),
-                ("skipped", total.skipped.to_string()),
-                ("torn_tail", total.torn_tail.to_string()),
-            ]
-        });
-    }
-
-    /// Snapshot a continuous query's window state into the durable store
-    /// (both the local and the relay/root [`WindowStore`]).  Appends one
-    /// snapshot per tick; once a log outgrows
-    /// [`PierNode::SEGMENT_COMPACT_BYTES`] it is rewritten from scratch —
-    /// rehydration only reads the *latest* snapshot of each window, so
-    /// compaction loses nothing.
-    fn persist_cq(durable: &DurableStore, query_id: u64, cq: &CqState) {
-        let (local_key, root_key) = Self::segment_keys(query_id);
-        for (key, store) in [(local_key, &cq.store), (root_key, &cq.root_store)] {
-            durable.with_log(&key, |log| {
-                if log.len() > Self::SEGMENT_COMPACT_BYTES {
-                    *log = SegmentLog::new();
-                }
-                store.write_segments(log);
-            });
-        }
-    }
-
-    /// Fold a chunk of dataflow outputs into the query's window store.  The
-    /// event-time, group, dedup and aggregate-input columns all resolve
-    /// against the chunk's schema once; the per-row work is column
-    /// indexing only.
-    fn cq_absorb_chunk(cq: &mut CqState, chunk: &ColumnChunk, now: SimTime) {
-        let schema = chunk.schema();
-        let Some(group_idxs) = cq.group_resolver.indices_for(schema) else {
-            return; // malformed chunk: discard (best-effort policy)
-        };
-        let time_idx = cq.time_ref.as_mut().and_then(|c| c.index_for(schema));
-        let dedup_idxs: Vec<Option<usize>> = cq
-            .dedup_refs
-            .iter_mut()
-            .map(|c| c.index_for(schema))
-            .collect();
-        let agg_idxs: Vec<Option<usize>> = cq
-            .agg_inputs
-            .iter_mut()
-            .map(|input| input.as_mut().and_then(|c| c.index_for(schema)))
-            .collect();
-        let aggs = &cq.aggs;
-        for r in 0..chunk.rows() {
-            let event_time = time_idx
-                .and_then(|i| chunk.col(i).value_ref(r).as_i64())
-                .map_or(now, |v| v.max(0) as u64);
-            let key = chunk.key_at(group_idxs, r);
-            let dedup = if dedup_idxs.is_empty() {
-                None
-            } else {
-                // A row missing a dedup column is treated as unique.
-                let mut out = String::with_capacity(12 * dedup_idxs.len());
-                for (i, idx) in dedup_idxs.iter().enumerate() {
-                    if i > 0 {
-                        out.push('|');
-                    }
-                    match idx {
-                        Some(c) => chunk.col(*c).value_ref(r).write_key(&mut out),
-                        None => out.push('∅'),
-                    }
-                }
-                Some(out)
-            };
-            cq.store.push(
-                event_time,
-                &key,
-                dedup.as_deref(),
-                || GroupAgg {
-                    vals: group_idxs.iter().map(|&i| chunk.col(i).value(r)).collect(),
-                    states: aggs.iter().map(AggFunc::init).collect(),
-                },
-                |acc| {
-                    for ((agg, idx), state) in aggs.iter().zip(&agg_idxs).zip(acc.states.iter_mut())
-                    {
-                        state.update_ref(agg, idx.map(|i| chunk.col(i).value_ref(r)));
-                    }
-                },
-            );
-        }
-    }
-
-    fn encode_window_partial(partial_schema: &Arc<Schema>, wid: WindowId, acc: &GroupAgg) -> Tuple {
-        let mut values = Vec::with_capacity(partial_schema.arity());
-        values.push(Value::Int(wid as i64));
-        values.extend(acc.vals.iter().cloned());
-        for state in &acc.states {
-            values.push(state.finish());
-            if let AggState::Avg { sum, count } = state {
-                values.push(Value::Float(*sum));
-                values.push(Value::Int(*count as i64));
-            }
-        }
-        Tuple::from_schema(Arc::clone(partial_schema), values)
-    }
-
-    /// Periodic window maintenance (fires every slide): close due windows,
-    /// forward their partials toward the window root — combining en route —
-    /// and, at the root, merge arrived partials and stream per-window
-    /// results to the proxy.
-    fn window_tick(&mut self, ctx: &mut ProgramContext<Self>, query_id: u64) {
+    /// Periodic window maintenance of one engine (fires every slide) — the
+    /// one tick path of standing queries and share groups alike: close due
+    /// windows, ship the engine's partial stream one hop toward its window
+    /// root (upcalls combine en route), forward each member's emission to
+    /// its proxy, and persist the surviving state when durable.  Returns the
+    /// slide to re-arm by; `None` once the engine is gone (the chain stops).
+    fn window_tick(&mut self, ctx: &mut ProgramContext<Self>, id: EngineId) -> Option<Duration> {
         let now = ctx.now();
-        let Some(q) = self.queries.get_mut(&query_id) else {
-            return; // query uninstalled: the tick chain stops
-        };
-        let Some(cq) = q.cq.as_mut() else {
-            return;
-        };
-        let window_ns = q.plan.window_namespace();
-        let root_key = q.plan.agg_root_key();
-        let root_id = routing_id(&window_ns, &root_key);
-        let proxy = q.plan.proxy;
+        let root_id = self.engine(id)?.root_id();
         let is_root = self.overlay.router().is_responsible(root_id);
+        let engine = self.engine_mut(id)?;
+        let out = engine.tick(now, is_root);
+        let (namespace, root_key) = (
+            engine.namespace().to_string(),
+            engine.root_key().to_string(),
+        );
 
-        // 1. Close this node's due windows.  At the root the partials merge
-        //    straight into the root store; elsewhere they are encoded for
-        //    the trip up (along with anything absorbed from upcall relays).
-        let closed = cq.store.close_due(now);
-        let mut to_send: Vec<Tuple> = Vec::new();
-        // Distinct windows whose partials this flush bundles (a tick that
-        // catches up after an EVERY-cadence gap ships several windows at
-        // once); the flush span's `aux` records it so the per-*window*
-        // static bound can be reconciled against a per-*tick* measurement.
-        let mut flushed_windows: BTreeSet<WindowId> = BTreeSet::new();
-        if is_root {
-            for (wid, groups) in closed {
-                for (key, acc) in groups {
-                    cq.root_store.accept_refinement(wid, &key, acc);
-                }
-            }
+        // 1. Ship partials toward the root.  Every partial of a tick shares
+        //    the window-root destination, so batching collapses the
+        //    per-group message train into one transfer per tick.
+        let shipments: Vec<QpObject> = if self.config.batching && out.partials.len() > 1 {
+            vec![QpObject::Batch(TupleBatch::new(out.partials))]
         } else {
-            for (wid, groups) in closed.into_iter().chain(cq.root_store.close_due(now)) {
-                if !groups.is_empty() {
-                    flushed_windows.insert(wid);
-                }
-                for (_, acc) in groups {
-                    to_send.push(Self::encode_window_partial(&cq.partial_schema, wid, &acc));
-                }
-            }
-        }
-
-        // 2. At the root: snapshot every due window that changed — state is
-        //    *retained* so late partials keep merging and re-emit refined
-        //    results — and turn each snapshot into result rows.
-        let mut emissions: Vec<(WindowId, Vec<Delta<Tuple>>)> = Vec::new();
-        if is_root {
-            let mut emitted_max = None;
-            for (wid, groups) in cq.root_store.emit_due(now) {
-                let (ws, we) = cq.window.bounds(wid);
-                let mut rows: Vec<Tuple> = groups
-                    .into_iter()
-                    .map(|(_, acc)| {
-                        let mut values = Vec::with_capacity(cq.result_schema.arity());
-                        values.push(Value::Int(ws as i64));
-                        values.push(Value::Int(we as i64));
-                        values.extend(acc.vals.iter().cloned());
-                        values.extend(acc.states.iter().map(AggState::finish));
-                        Tuple::from_schema(Arc::clone(&cq.result_schema), values)
-                    })
-                    .collect();
-                rows.sort_by_cached_key(std::string::ToString::to_string);
-                if !cq.final_ops.is_empty() {
-                    let finisher = Pipeline::new(
-                        cq.final_ops
-                            .iter()
-                            .filter_map(OperatorSpec::build)
-                            .collect(),
-                    );
-                    rows = finisher.finish(rows);
-                }
-                let deltas = cq.tracker.emit(wid, rows);
-                if !deltas.is_empty() {
-                    cq.windows_emitted += 1;
-                    emissions.push((wid, deltas));
-                }
-                emitted_max = Some(emitted_max.unwrap_or(0u64).max(wid));
-            }
-            // Retire windows past the refinement horizon from both the
-            // retained root state and the delta tracker (bounded memory).
-            if let Some(newest) = emitted_max {
-                let retain = cq.retention_windows();
-                if newest > retain {
-                    cq.root_store.retire_before(newest - retain);
-                    cq.tracker.retire(newest - retain - 1);
-                }
-            }
-        }
-        let window = cq.window;
-        let lifetime = cq.spec.lease.max(self.config.publish_lifetime);
-
-        // 3. Ship partials one hop toward the root (upcalls combine en
-        //    route) and stream emissions to the proxy.  Every partial of a
-        //    tick shares the window-root destination, so batching collapses
-        //    the per-group message train into one transfer per tick.
-        let mut effects = Vec::new();
-        let shipments: Vec<QpObject> = if self.config.batching && to_send.len() > 1 {
-            vec![QpObject::Batch(TupleBatch::new(to_send))]
-        } else {
-            to_send.into_iter().map(QpObject::Tuple).collect()
+            out.partials.into_iter().map(QpObject::Tuple).collect()
         };
-        // Flush instrumentation: every shipping flush ticks
-        // `cq.window_flushes` / `cq.flush_partials` (the counters the
-        // span-reconciliation tests anchor to), and a sampled query's flush
-        // additionally records a `window.flush` span whose context rides
-        // the wire on every shipment of this tick.
-        let mut flush_ctx: Option<TraceContext> = None;
-        if self.tel.is_enabled() && !shipments.is_empty() {
-            let partials: u64 = shipments.iter().map(|s| s.tuple_count() as u64).sum();
-            let bytes: u64 = shipments.iter().map(|s| s.wire_size() as u64).sum();
-            self.tel.inc("cq.window_flushes");
-            self.tel.add("cq.flush_partials", partials);
-            if let Some(trace_id) = self.traced(query_id) {
-                let span = self.next_span_id(ctx.me());
-                self.tel.record_span(
-                    now,
-                    now,
-                    trace_id,
-                    span,
-                    trace_id,
-                    query_id,
-                    "window.flush",
-                    partials,
-                    bytes,
-                    flushed_windows.len() as u64,
-                );
-                flush_ctx = Some(TraceContext {
-                    trace_id,
-                    span_id: span,
-                    query_id,
-                });
-            }
-        }
+        let flush_ctx = if self.tel.is_enabled() && !shipments.is_empty() {
+            self.record_flush(ctx, id, &shipments, out.flushed_windows)
+        } else {
+            None
+        };
+        let lifetime = self.config.publish_lifetime;
+        let mut effects = Vec::new();
         for shipment in shipments {
-            let name = ObjectName::new(window_ns.clone(), root_key.clone(), self.rng.next_u64());
+            let name = ObjectName::new(namespace.clone(), root_key.clone(), self.rng.next_u64());
             self.overlay.set_trace(flush_ctx);
             effects.extend(
                 self.overlay
@@ -2513,255 +1957,10 @@ impl PierNode {
             );
         }
         self.drive(ctx, effects);
-        for (wid, deltas) in emissions {
-            let (window_start, window_end) = window.bounds(wid);
-            let mut retracts = Vec::new();
-            let mut inserts = Vec::new();
-            for d in deltas {
-                match d {
-                    Delta::Retract(t) => retracts.push(t),
-                    Delta::Insert(t) => inserts.push(t),
-                }
-            }
-            // A sampled query's per-window emission: the `window.emit`
-            // span parents to the newest absorption at this root and its
-            // context travels to the proxy on the results message.
-            let emit_ctx = self.traced(query_id).map(|trace_id| {
-                let span = self.next_span_id(ctx.me());
-                let parent = self
-                    .last_combine_span
-                    .get(&query_id)
-                    .copied()
-                    .unwrap_or(trace_id);
-                self.tel.record_span(
-                    now,
-                    now,
-                    trace_id,
-                    span,
-                    parent,
-                    query_id,
-                    "window.emit",
-                    (retracts.len() + inserts.len()) as u64,
-                    0,
-                    window_start,
-                );
-                TraceContext {
-                    trace_id,
-                    span_id: span,
-                    query_id,
-                }
-            });
-            if proxy == ctx.me() {
-                self.proxy_receive_window(
-                    ctx,
-                    query_id,
-                    window_start,
-                    window_end,
-                    retracts,
-                    inserts,
-                    emit_ctx,
-                );
-            } else {
-                ctx.send(
-                    proxy,
-                    PierMsg::WindowResults {
-                        query_id,
-                        window_start,
-                        window_end,
-                        retracts,
-                        inserts,
-                        trace: emit_ctx,
-                    },
-                );
-            }
-        }
-        // 4. Window health into telemetry: absolute occupancy/shed gauges
-        //    summed over every installed continuous query, plus shed/evict
-        //    *deltas* of this query as trace events.
-        if self.tel.is_enabled() {
-            if let Some(cq) = self.queries.get_mut(&query_id).and_then(|q| q.cq.as_mut()) {
-                let local = cq.store.stats();
-                let root = cq.root_store.stats();
-                let shed =
-                    local.shed_tuples + local.shed_groups + root.shed_tuples + root.shed_groups;
-                let evicted = local.evicted_windows + root.evicted_windows;
-                if shed > cq.tel_shed {
-                    let delta = shed - cq.tel_shed;
-                    cq.tel_shed = shed;
-                    self.tel.event("window_shed", || {
-                        vec![
-                            ("query_id", query_id.to_string()),
-                            ("shed", delta.to_string()),
-                        ]
-                    });
-                }
-                if evicted > cq.tel_evicted {
-                    let delta = evicted - cq.tel_evicted;
-                    cq.tel_evicted = evicted;
-                    self.tel.event("window_evict", || {
-                        vec![
-                            ("query_id", query_id.to_string()),
-                            ("evicted", delta.to_string()),
-                        ]
-                    });
-                }
-            }
-            let mut accepted = 0u64;
-            let mut shed = 0u64;
-            let mut evicted = 0u64;
-            let mut open = 0u64;
-            let mut groups = 0u64;
-            let mut state_bytes = 0u64;
-            let acc_bytes = |g: &GroupAgg| -> usize {
-                g.vals.iter().map(WireSize::wire_size).sum::<usize>()
-                    + g.states.iter().map(WireSize::wire_size).sum::<usize>()
-            };
-            for q in self.queries.values() {
-                let Some(cq) = q.cq.as_ref() else { continue };
-                for stats in [cq.store.stats(), cq.root_store.stats()] {
-                    accepted += stats.accepted;
-                    shed += stats.shed_tuples + stats.shed_groups;
-                    evicted += stats.evicted_windows;
-                }
-                open += (cq.store.open_windows() + cq.root_store.open_windows()) as u64;
-                groups += (cq.store.total_groups() + cq.root_store.total_groups()) as u64;
-                state_bytes += (cq.store.approx_state_bytes(&acc_bytes)
-                    + cq.root_store.approx_state_bytes(&acc_bytes))
-                    as u64;
-            }
-            self.tel.gauge("cq.accepted", accepted as f64);
-            self.tel.gauge("cq.shed", shed as f64);
-            self.tel.gauge("cq.evicted_windows", evicted as f64);
-            self.tel.gauge("cq.open_windows", open as f64);
-            self.tel.gauge("cq.state_groups", groups as f64);
-            self.tel.gauge("cq.state_bytes", state_bytes as f64);
-        }
 
-        // 5. Persist the surviving window state as durable segments, so a
-        //    crash after this tick restarts warm.
-        if let Some(durable) = self.config.durable.as_ref() {
-            if let Some(cq) = self.queries.get(&query_id).and_then(|q| q.cq.as_ref()) {
-                Self::persist_cq(durable, query_id, cq);
-            }
-        }
-
-        // 6. Re-arm while the query is installed.
-        if self.queries.contains_key(&query_id) {
-            ctx.set_timer(window.slide, PierTimer::WindowTick { query_id });
-        }
-    }
-
-    /// Periodic window maintenance for one share group (fires every slide,
-    /// once per group — the shared counterpart of
-    /// [`PierNode::window_tick`]): the layer closes due windows and hands
-    /// back one partial stream to ship toward the group's root plus, at the
-    /// root, per-member emissions the executor forwards to each member's
-    /// proxy.
-    fn share_tick(&mut self, ctx: &mut ProgramContext<Self>, group: u64, epoch: u64) {
-        let now = ctx.now();
-        let Some(route) = self.sharing.as_ref().and_then(|l| l.group_route(group)) else {
-            return; // group retired: the tick chain stops
-        };
-        if route.epoch != epoch {
-            // The group was retired and re-created since this chain was
-            // armed; the new incarnation drives its own chain — a stale
-            // timer must not stack a duplicate one.
-            return;
-        }
-        let root_id = routing_id(&route.namespace, &route.root_key);
-        let is_root = self.overlay.router().is_responsible(root_id);
-        let out = self
-            .sharing
-            .as_mut()
-            .expect("route resolved above")
-            .tick(group, now, is_root);
-        let lifetime = self.config.publish_lifetime;
-        let mut effects = Vec::new();
-        // One transfer per tick per group: every partial shares the group's
-        // window-root destination, so batching collapses the train.
-        let shipments: Vec<QpObject> = if self.config.batching && out.partials.len() > 1 {
-            vec![QpObject::Batch(TupleBatch::new(out.partials))]
-        } else {
-            out.partials.into_iter().map(QpObject::Tuple).collect()
-        };
-        // Share-group attribution: shared work is charged to the group's
-        // canonical (lowest-id) member — one `share.flush` span per
-        // shipping tick when tracing is in trace-all mode (per-query
-        // sampling decisions are meaningless for work N queries share).
-        let mut share_ctx: Option<TraceContext> = None;
-        if self.tel.is_enabled() && !shipments.is_empty() {
-            let partials: u64 = shipments.iter().map(|s| s.tuple_count() as u64).sum();
-            self.tel.inc("mqo.share_flushes");
-            self.tel.add("mqo.share_flush_partials", partials);
-            if self.config.trace.sample_every == 1 {
-                let members = self
-                    .sharing
-                    .as_ref()
-                    .map_or_else(Vec::new, |l| l.member_ids(group));
-                if let Some(&canonical) = members.first() {
-                    let bytes: u64 = shipments.iter().map(|s| s.wire_size() as u64).sum();
-                    let trace_id = trace_id_for(canonical);
-                    let span = self.next_span_id(ctx.me());
-                    self.tel.record_span(
-                        now,
-                        now,
-                        trace_id,
-                        span,
-                        trace_id,
-                        canonical,
-                        "share.flush",
-                        partials,
-                        bytes,
-                        members.len() as u64,
-                    );
-                    share_ctx = Some(TraceContext {
-                        trace_id,
-                        span_id: span,
-                        query_id: canonical,
-                    });
-                }
-            }
-        }
-        for shipment in shipments {
-            let name = ObjectName::new(
-                route.namespace.clone(),
-                route.root_key.clone(),
-                self.rng.next_u64(),
-            );
-            self.overlay.set_trace(share_ctx);
-            effects.extend(
-                self.overlay
-                    .send_routed(root_id, name, shipment, lifetime, now),
-            );
-        }
-        self.drive(ctx, effects);
+        // 2. At the root: stream each member's emission to its proxy.
         for e in out.emissions {
-            // Per-member emission spans (trace-all mode only): each member
-            // gets a top-level `window.emit` in its *own* trace, so shared
-            // execution still yields per-query profiles.
-            let emit_ctx = if self.tel.is_enabled() && self.config.trace.sample_every == 1 {
-                let trace_id = trace_id_for(e.query_id);
-                let span = self.next_span_id(ctx.me());
-                self.tel.record_span(
-                    now,
-                    now,
-                    trace_id,
-                    span,
-                    trace_id,
-                    e.query_id,
-                    "window.emit",
-                    (e.retracts.len() + e.inserts.len()) as u64,
-                    0,
-                    e.window_start,
-                );
-                Some(TraceContext {
-                    trace_id,
-                    span_id: span,
-                    query_id: e.query_id,
-                })
-            } else {
-                None
-            };
+            let emit_ctx = self.record_emit(ctx, id, &e);
             if e.proxy == ctx.me() {
                 self.proxy_receive_window(
                     ctx,
@@ -2786,15 +1985,171 @@ impl PierNode {
                 );
             }
         }
-        // Re-arm while this incarnation of the group lives.
-        if self
-            .sharing
-            .as_ref()
-            .and_then(|l| l.group_route(group))
-            .is_some_and(|r| r.epoch == epoch)
-        {
-            ctx.set_timer(route.slide, PierTimer::ShareTick { group, epoch });
+        if let EngineId::Query(query_id) = id {
+            self.window_health(query_id);
         }
+
+        // 3. Persist the surviving window state as durable segments, so a
+        //    crash after this tick restarts warm.
+        let engine = self.engine(id)?;
+        if let Some(durable) = self.config.durable.as_ref() {
+            engine.persist(durable);
+        }
+        Some(engine.window().slide)
+    }
+
+    /// Flush instrumentation of a shipping tick.  A query's flush ticks
+    /// `cq.window_flushes` / `cq.flush_partials` (the counters the
+    /// span-reconciliation tests anchor to) and, when the query is sampled,
+    /// records a `window.flush` span.  A share group's ticks
+    /// `mqo.share_flushes` / `mqo.share_flush_partials` and, in trace-all
+    /// mode only (per-query sampling decisions are meaningless for work N
+    /// queries share), records a `share.flush` span charged to the group's
+    /// canonical (lowest-id) member.  The returned context rides the wire
+    /// on every shipment of the tick.
+    fn record_flush(
+        &mut self,
+        ctx: &mut ProgramContext<Self>,
+        id: EngineId,
+        shipments: &[QpObject],
+        flushed_windows: u64,
+    ) -> Option<TraceContext> {
+        let partials: u64 = shipments.iter().map(|s| s.tuple_count() as u64).sum();
+        let (stage, query_id, aux) = match id {
+            EngineId::Query(query_id) => {
+                self.tel.inc("cq.window_flushes");
+                self.tel.add("cq.flush_partials", partials);
+                self.traced(query_id)?;
+                // `aux` = distinct windows bundled, so the per-*window*
+                // static bound reconciles against a per-*tick* measurement.
+                ("window.flush", query_id, flushed_windows)
+            }
+            EngineId::Group(_) => {
+                self.tel.inc("mqo.share_flushes");
+                self.tel.add("mqo.share_flush_partials", partials);
+                if self.config.trace.sample_every != 1 {
+                    return None;
+                }
+                let members = self.engine(id)?.member_ids();
+                ("share.flush", *members.first()?, members.len() as u64)
+            }
+        };
+        let bytes: u64 = shipments.iter().map(|s| s.wire_size() as u64).sum();
+        let now = ctx.now();
+        let trace_id = trace_id_for(query_id);
+        let span = self.next_span_id(ctx.me());
+        self.tel.record_span(
+            now, now, trace_id, span, trace_id, query_id, stage, partials, bytes, aux,
+        );
+        Some(TraceContext {
+            trace_id,
+            span_id: span,
+            query_id,
+        })
+    }
+
+    /// The `window.emit` span of one member emission, whose context travels
+    /// to the proxy on the results message.  A sampled query's span parents
+    /// to the newest absorption at this root; in trace-all mode every share
+    /// member gets a top-level span in its *own* trace, so shared execution
+    /// still yields per-query profiles.
+    fn record_emit(
+        &mut self,
+        ctx: &mut ProgramContext<Self>,
+        id: EngineId,
+        e: &Emission,
+    ) -> Option<TraceContext> {
+        let (trace_id, parent) = match id {
+            EngineId::Query(query_id) => {
+                let trace_id = self.traced(query_id)?;
+                let parent = self.last_combine_span.get(&query_id).copied();
+                (trace_id, parent.unwrap_or(trace_id))
+            }
+            EngineId::Group(_) => {
+                if !self.tel.is_enabled() || self.config.trace.sample_every != 1 {
+                    return None;
+                }
+                let trace_id = trace_id_for(e.query_id);
+                (trace_id, trace_id)
+            }
+        };
+        let now = ctx.now();
+        let span = self.next_span_id(ctx.me());
+        self.tel.record_span(
+            now,
+            now,
+            trace_id,
+            span,
+            parent,
+            e.query_id,
+            "window.emit",
+            (e.retracts.len() + e.inserts.len()) as u64,
+            0,
+            e.window_start,
+        );
+        Some(TraceContext {
+            trace_id,
+            span_id: span,
+            query_id: e.query_id,
+        })
+    }
+
+    /// Window health into telemetry after a query's tick: absolute
+    /// occupancy/shed gauges summed over every installed continuous query,
+    /// plus shed/evict *deltas* of this query as trace events.
+    fn window_health(&mut self, query_id: u64) {
+        if !self.tel.is_enabled() {
+            return;
+        }
+        if let Some(cq) = self.queries.get_mut(&query_id).and_then(|q| q.cq.as_mut()) {
+            let (local, root) = cq.engine.stats();
+            let shed = local.shed_tuples + local.shed_groups + root.shed_tuples + root.shed_groups;
+            let evicted = local.evicted_windows + root.evicted_windows;
+            if shed > cq.tel_shed {
+                let delta = shed - cq.tel_shed;
+                cq.tel_shed = shed;
+                self.tel.event("window_shed", || {
+                    vec![
+                        ("query_id", query_id.to_string()),
+                        ("shed", delta.to_string()),
+                    ]
+                });
+            }
+            if evicted > cq.tel_evicted {
+                let delta = evicted - cq.tel_evicted;
+                cq.tel_evicted = evicted;
+                self.tel.event("window_evict", || {
+                    vec![
+                        ("query_id", query_id.to_string()),
+                        ("evicted", delta.to_string()),
+                    ]
+                });
+            }
+        }
+        let mut accepted = 0u64;
+        let mut shed = 0u64;
+        let mut evicted = 0u64;
+        let mut open = 0u64;
+        let mut groups = 0u64;
+        let mut state_bytes = 0u64;
+        for q in self.queries.values() {
+            let Some(cq) = q.cq.as_ref() else { continue };
+            let (local, root) = cq.engine.stats();
+            for stats in [local, root] {
+                accepted += stats.accepted;
+                shed += stats.shed_tuples + stats.shed_groups;
+                evicted += stats.evicted_windows;
+            }
+            open += cq.engine.open_windows() as u64;
+            groups += cq.engine.total_groups() as u64;
+            state_bytes += cq.engine.state_bytes() as u64;
+        }
+        self.tel.gauge("cq.accepted", accepted as f64);
+        self.tel.gauge("cq.shed", shed as f64);
+        self.tel.gauge("cq.evicted_windows", evicted as f64);
+        self.tel.gauge("cq.open_windows", open as f64);
+        self.tel.gauge("cq.state_groups", groups as f64);
+        self.tel.gauge("cq.state_bytes", state_bytes as f64);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -2981,21 +2336,17 @@ impl PierNode {
         }
     }
 
-    /// Diagnostics of an installed continuous query (`None` when the query
-    /// is not installed here or is not continuous).
+    /// Diagnostics of a continuous query installed here, standalone or as
+    /// a share-group member (`None` when the query is not installed here or
+    /// is not continuous).
     pub fn cq_diagnostics(&self, query_id: u64) -> Option<CqDiagnostics> {
-        let q = self.queries.get(&query_id)?;
-        let cq = q.cq.as_ref()?;
-        Some(CqDiagnostics {
-            local: cq.store.stats(),
-            root: cq.root_store.stats(),
-            open_windows: cq.store.open_windows() + cq.root_store.open_windows(),
-            total_groups: cq.store.total_groups() + cq.root_store.total_groups(),
-            tracked_emissions: cq.tracker.tracked_windows(),
-            windows_emitted: cq.windows_emitted,
-            lease_renewals: cq.lease.renewals,
-            rehydrated_windows: cq.rehydrated_windows,
-        })
+        match self.queries.get(&query_id) {
+            Some(q) => {
+                q.cq.as_ref()
+                    .map(|cq| cq.engine.diagnostics(query_id, &cq.lease))
+            }
+            None => self.sharing.as_ref()?.diagnostics(query_id),
+        }
     }
 }
 
@@ -3078,8 +2429,21 @@ impl Program for PierNode {
                     }
                 }
             }
-            PierTimer::WindowTick { query_id } => self.window_tick(ctx, query_id),
-            PierTimer::ShareTick { group, epoch } => self.share_tick(ctx, group, epoch),
+            PierTimer::WindowTick { query_id } => {
+                if let Some(slide) = self.window_tick(ctx, EngineId::Query(query_id)) {
+                    ctx.set_timer(slide, PierTimer::WindowTick { query_id });
+                }
+            }
+            PierTimer::ShareTick { group, epoch } => {
+                // A chain armed for a retired incarnation stops: the live
+                // one drives its own chain.
+                if self.sharing.as_ref().and_then(|l| l.group_epoch(group)) != Some(epoch) {
+                    return;
+                }
+                if let Some(slide) = self.window_tick(ctx, EngineId::Group(group)) {
+                    ctx.set_timer(slide, PierTimer::ShareTick { group, epoch });
+                }
+            }
             PierTimer::MetricsPublish => self.publish_metrics(ctx),
             PierTimer::BatchFlush => {
                 let now = ctx.now();
@@ -3199,7 +2563,6 @@ impl Program for PierNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
     fn netmon_rows(n: i64) -> Vec<Tuple> {
         (0..n)
@@ -3214,97 +2577,6 @@ mod tests {
                 )
             })
             .collect()
-    }
-
-    fn windowed_cq_state() -> CqState {
-        let plan = crate::sqlish::compile(
-            "SELECT src, COUNT(*), SUM(len) FROM packets GROUP BY src WINDOW 30s SLIDE 10s",
-            pier_runtime::NodeAddr(1),
-            60_000_000,
-        )
-        .expect("windowed netmon query must compile");
-        PierNode::build_cq_state(&plan, 0).expect("plan has a windowed sink")
-    }
-
-    /// Canonical view of a window store's content after closing everything:
-    /// `(window, group key, group values, finished aggregates)` rows.
-    fn drain_canonical(cq: &mut CqState) -> Vec<(u64, String, Vec<Value>, Vec<Value>)> {
-        let mut out = Vec::new();
-        for (wid, groups) in cq.store.close_due(1_000_000_000_000) {
-            for (key, acc) in groups {
-                out.push((
-                    wid,
-                    key,
-                    acc.vals.clone(),
-                    acc.states.iter().map(AggState::finish).collect(),
-                ));
-            }
-        }
-        out.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        out
-    }
-
-    /// Fold `rows` into the window store chunk by chunk, as the executor
-    /// does for one arriving batch.
-    fn absorb_all(cq: &mut CqState, rows: Vec<Tuple>, now: SimTime) {
-        for chunk in TupleBatch::new(rows).chunks() {
-            PierNode::cq_absorb_chunk(cq, chunk, now);
-        }
-    }
-
-    /// `(window, group values, finished aggregates)` rows in a canonical
-    /// order, without the store's internal group key.
-    fn without_keys(
-        rows: Vec<(u64, String, Vec<Value>, Vec<Value>)>,
-    ) -> Vec<(u64, Vec<Value>, Vec<Value>)> {
-        let mut out: Vec<_> = rows.into_iter().map(|(w, _, g, a)| (w, g, a)).collect();
-        out.sort_by_cached_key(|(w, g, _)| (*w, format!("{g:?}")));
-        out
-    }
-
-    /// The reference the window absorb is checked against: every row folded
-    /// into each (window, group) its `ts` falls in, one row at a time.
-    fn reference_fold(cq: &CqState, rows: &[Tuple]) -> Vec<(u64, Vec<Value>, Vec<Value>)> {
-        let mut groups: BTreeMap<(u64, String), (Vec<Value>, Vec<AggState>)> = BTreeMap::new();
-        for t in rows {
-            let ts = t.get("ts").and_then(Value::as_i64).expect("row has ts");
-            let src = t.get("src").expect("row has src").clone();
-            for wid in cq.window.windows_containing(ts.max(0) as u64) {
-                let (_, states) = groups.entry((wid, src.to_string())).or_insert_with(|| {
-                    (
-                        vec![src.clone()],
-                        cq.aggs.iter().map(AggFunc::init).collect(),
-                    )
-                });
-                for (agg, state) in cq.aggs.iter().zip(states.iter_mut()) {
-                    state.update_with(agg, agg.input_column().and_then(|c| t.get(c)));
-                }
-            }
-        }
-        let mut out: Vec<_> = groups
-            .into_iter()
-            .map(|((wid, _), (vals, states))| {
-                (wid, vals, states.iter().map(AggState::finish).collect())
-            })
-            .collect();
-        out.sort_by_cached_key(|(w, g, _)| (*w, format!("{g:?}")));
-        out
-    }
-
-    #[test]
-    fn cq_chunk_absorb_equals_reference_fold() {
-        let rows = netmon_rows(400);
-        let mut whole = windowed_cq_state();
-        let mut row_at_a_time = windowed_cq_state();
-        let expected = reference_fold(&whole, &rows);
-        assert!(!expected.is_empty(), "the workload must populate windows");
-        let now = 1_000_000;
-        for t in &rows {
-            PierNode::cq_absorb_chunk(&mut row_at_a_time, &ColumnChunk::from_tuple(t), now);
-        }
-        absorb_all(&mut whole, rows, now);
-        assert_eq!(without_keys(drain_canonical(&mut whole)), expected);
-        assert_eq!(without_keys(drain_canonical(&mut row_at_a_time)), expected);
     }
 
     #[test]
@@ -3354,107 +2626,5 @@ mod tests {
         want.extend(derived);
         assert_eq!(out, want);
         assert_eq!(seen, 8);
-    }
-
-    #[test]
-    fn cq_chunk_absorb_discards_malformed_chunks() {
-        let mut cq = windowed_cq_state();
-        let rows: Vec<Tuple> = (0..10)
-            .map(|i| Tuple::new("packets", vec![("nothing", Value::Int(i))]))
-            .collect();
-        let batch = TupleBatch::new(rows);
-        for chunk in batch.chunks() {
-            PierNode::cq_absorb_chunk(&mut cq, chunk, 0);
-        }
-        assert!(drain_canonical(&mut cq).is_empty());
-    }
-
-    #[test]
-    fn group_agg_segment_codec_round_trips_every_variant() {
-        let agg = GroupAgg {
-            vals: vec![
-                Value::Null,
-                Value::Bool(true),
-                Value::Int(-5),
-                Value::Float(2.5),
-                Value::str("host-α"),
-                Value::bytes([0u8, 255, 7]),
-            ],
-            states: vec![
-                AggState::Count(3),
-                AggState::Sum(1.5),
-                AggState::Min(Some(Value::Int(-9))),
-                AggState::Max(None),
-                AggState::Avg { sum: 2.0, count: 4 },
-            ],
-        };
-        let mut buf = Vec::new();
-        agg.encode_state(&mut buf);
-        let back = GroupAgg::decode_state(&buf).expect("clean bytes decode");
-        assert_eq!(back.vals, agg.vals);
-        assert_eq!(back.states, agg.states);
-        // Byte-for-byte: re-encoding the decoded state reproduces the bytes.
-        let mut again = Vec::new();
-        back.encode_state(&mut again);
-        assert_eq!(buf, again);
-        // A truncated payload is rejected, not half-decoded.
-        assert!(GroupAgg::decode_state(&buf[..buf.len() - 1]).is_none());
-        // Trailing garbage is rejected too.
-        let mut padded = buf.clone();
-        padded.push(0);
-        assert!(GroupAgg::decode_state(&padded).is_none());
-    }
-
-    #[test]
-    fn persisted_cq_state_rehydrates_warm() {
-        let mut cq = windowed_cq_state();
-        absorb_all(&mut cq, netmon_rows(120), 0);
-        let durable = DurableStore::new();
-        PierNode::persist_cq(&durable, 7, &cq);
-        let (local_key, _) = PierNode::segment_keys(7);
-        let log = durable.get(&local_key).expect("snapshot was written");
-
-        // A cold store (what a restarted node builds) rehydrates to the
-        // same canonical contents the crashed node held.
-        let mut cold = windowed_cq_state();
-        let report = cold.store.rehydrate_from(&log);
-        assert!(report.windows > 0, "open windows came back");
-        assert!(!report.torn_tail);
-        assert_eq!(drain_canonical(&mut cold), drain_canonical(&mut cq));
-    }
-
-    #[test]
-    fn persist_compacts_once_the_log_outgrows_the_bound() {
-        let mut cq = windowed_cq_state();
-        absorb_all(&mut cq, netmon_rows(50), 0);
-        let durable = DurableStore::new();
-        PierNode::persist_cq(&durable, 1, &cq);
-        let after_one = durable.total_bytes();
-        // Snapshots append...
-        PierNode::persist_cq(&durable, 1, &cq);
-        assert!(durable.total_bytes() > after_one);
-        // ...until the log crosses the compaction bound, which rewrites it
-        // as a single fresh snapshot.
-        let (local_key, _) = PierNode::segment_keys(1);
-        loop {
-            let over = durable
-                .get(&local_key)
-                .is_some_and(|log| log.len() > PierNode::SEGMENT_COMPACT_BYTES);
-            if over {
-                break;
-            }
-            PierNode::persist_cq(&durable, 1, &cq);
-        }
-        PierNode::persist_cq(&durable, 1, &cq);
-        durable.with_log(&local_key, |log| {
-            assert!(
-                log.len() <= PierNode::SEGMENT_COMPACT_BYTES,
-                "compaction rewrote the oversized log"
-            );
-        });
-        let mut cold = windowed_cq_state();
-        let log = durable.get(&local_key).expect("compacted snapshot");
-        cold.store.rehydrate_from(&log);
-        assert_eq!(drain_canonical(&mut cold), drain_canonical(&mut cq));
     }
 }

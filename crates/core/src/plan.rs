@@ -279,10 +279,10 @@ pub struct CqSpec {
     /// Per-node work/state bound for the query's window state.
     pub budget: CqBudget,
     /// Refuse multi-query sharing: install with a private dataflow even
-    /// when a sharing layer is configured.  Durable standing queries want
-    /// this — shared group state lives outside the per-query window stores
-    /// and is not persisted to segment logs, so only an exclusive query
-    /// rehydrates warm after a restart.
+    /// when a sharing layer is configured.  Durability does not need this —
+    /// share groups persist and rehydrate their windows exactly as private
+    /// queries do — but it keeps the query on its own window root
+    /// (`q{id}.agg-root`) instead of its share group's.
     pub exclusive: bool,
 }
 

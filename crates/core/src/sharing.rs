@@ -8,8 +8,8 @@
 //! live in the `pier-mqo` crate, while the executor ([`crate::node`]) only
 //! knows this trait.  A node constructed with a
 //! [`SharingFactory`](crate::node::PierConfig::sharing) routes query
-//! install/uninstall, ingest chunks, window-partial relays and window ticks
-//! through the layer; without one it behaves exactly as before.
+//! install/uninstall and ingest chunks through the layer, and reaches each
+//! group's window engine through it; without one it behaves exactly as before.
 //!
 //! The protocol, in the order a query experiences it:
 //!
@@ -18,23 +18,26 @@
 //!    share group (see `pier-mqo`), the layer absorbs the query as a
 //!    *member* and the executor builds **no** per-query dataflow; the
 //!    executor arms the member's lease/timeout timers and — for a group's
-//!    first member — the group's window-tick chain.
+//!    first member — rehydrates the group's engine from durable segments
+//!    and starts the group's window-tick chain.
 //! 2. **Ingest** — each arriving [`ColumnChunk`] of a namespace some group
 //!    reads is handed to the layer **once**
 //!    ([`MultiQuerySharing::absorb_chunk`]); the layer fans it out to all
 //!    members via its predicate index.
-//! 3. **Ticks** — per group (not per member), the executor drives window
-//!    maintenance ([`MultiQuerySharing::tick`]): the layer returns one
-//!    partial stream to ship toward the group's root and per-member
-//!    emissions the executor forwards to each member's proxy.
+//! 3. **Ticks** — a group is a [`WindowAgg`] engine with N members, so the
+//!    executor drives it through the one window-tick path every standing
+//!    query uses ([`MultiQuerySharing::engine_mut`]): one partial stream
+//!    toward the group's root, per-member emissions to each member's
+//!    proxy, relayed partials folded in, state persisted when durable.
 //! 4. **Teardown** — timeouts and lease lapses route through
 //!    [`MultiQuerySharing::uninstall`]; when a group loses its last member
 //!    the layer retires it and the executor sweeps its interned schemas
 //!    ([`is_share_scoped_table`]), so nothing leaks.
 
 use crate::plan::QueryPlan;
-use crate::tuple::{ColumnChunk, Tuple};
-use pier_runtime::{Duration, NodeAddr, SimTime};
+use crate::tuple::ColumnChunk;
+use crate::window_agg::{CqDiagnostics, WindowAgg};
+use pier_runtime::{Duration, SimTime};
 
 /// Constructor hook for a sharing layer, carried by
 /// [`PierConfig`](crate::node::PierConfig) (a plain function pointer so the
@@ -54,10 +57,12 @@ pub enum InstallOutcome {
         /// True when this member created the group — the executor must
         /// start the group's window-tick chain.
         new_group: bool,
-        /// The group's incarnation (see [`GroupRoute::epoch`]): the tick
-        /// chain the executor starts is stamped with it, so a chain armed
-        /// for a retired incarnation stops instead of double-driving a
-        /// later group with the same fingerprint.
+        /// The group's incarnation.  Groups share a fingerprint across
+        /// retire/re-create cycles (the last member leaves, a new
+        /// constant-varied query re-forms the group), but every incarnation
+        /// gets a fresh epoch; the tick chain the executor starts is stamped
+        /// with it, so a chain armed for a retired incarnation stops instead
+        /// of double-driving a later group with the same fingerprint.
         epoch: u64,
         /// The group's window slide (tick period).
         slide: Duration,
@@ -86,54 +91,6 @@ impl UninstallOutcome {
     }
 }
 
-/// Where a group's closed-window partials travel: the DHT namespace/key
-/// whose routing identifier names the group's window root.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupRoute {
-    /// The group's window-partial namespace (`g{fingerprint:016x}.windows`).
-    pub namespace: String,
-    /// The root key hashed to locate the group's window root.
-    pub root_key: String,
-    /// The group's window slide (tick re-arm period).
-    pub slide: Duration,
-    /// The group's **incarnation**: groups share a fingerprint across
-    /// retire/re-create cycles (the last member leaves, a new
-    /// constant-varied query re-forms the group), but every incarnation
-    /// gets a fresh epoch.  The executor's tick chain carries the epoch it
-    /// was armed with and stops when it no longer matches, so a stale
-    /// pending timer from a retired incarnation cannot stack a duplicate
-    /// permanent tick chain onto the new one.
-    pub epoch: u64,
-}
-
-/// One member query's per-window result emission, produced at the group's
-/// window root and forwarded by the executor to the member's proxy.
-#[derive(Debug, Clone)]
-pub struct SharedEmission {
-    /// The member query.
-    pub query_id: u64,
-    /// The member's proxy node (results destination).
-    pub proxy: NodeAddr,
-    /// Window start (inclusive).
-    pub window_start: SimTime,
-    /// Window end (exclusive).
-    pub window_end: SimTime,
-    /// Rows retracted by this emission (delta mode).
-    pub retracts: Vec<Tuple>,
-    /// Rows inserted by this emission.
-    pub inserts: Vec<Tuple>,
-}
-
-/// What one group tick produced.
-#[derive(Debug, Default)]
-pub struct TickOutput {
-    /// Closed-window partials to ship one hop toward the group's root —
-    /// one stream per group, however many members it serves.
-    pub partials: Vec<Tuple>,
-    /// Per-member emissions (non-empty only at the group's root).
-    pub emissions: Vec<SharedEmission>,
-}
-
 /// Diagnostics of the sharing layer at one node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharingStats {
@@ -151,6 +108,9 @@ pub struct SharingStats {
     pub rows_absorbed: u64,
     /// Rows selected by at least one member (folded into shared state).
     pub rows_selected: u64,
+    /// Windows the live groups rehydrated from durable segments when they
+    /// were created (0 without [`PierConfig::durable`](crate::PierConfig)).
+    pub rehydrated_windows: u64,
 }
 
 /// A pluggable cross-query sharing layer (implemented by `pier-mqo`).
@@ -193,33 +153,34 @@ pub trait MultiQuerySharing: std::fmt::Debug + Send {
     /// before touching its rows.
     fn window_group(&self, namespace: &str) -> Option<u64>;
 
-    /// Absorb a relayed closed-window partial into the share group whose
-    /// window namespace is `namespace`.  `false` when no live group owns
-    /// the namespace, or the group refused the partial (budget, malformed).
-    /// At **upcall (en-route) hops** the executor re-ships refused partials
-    /// toward the root so a relay's budget cannot lose them; a refusal at
-    /// the root itself is a drop, exactly like the per-query best-effort
-    /// policy.
-    fn absorb_window_partial(&mut self, namespace: &str, tuple: &Tuple) -> bool;
+    /// The incarnation of a live group (see [`InstallOutcome::Member`]);
+    /// `None` once the group is retired.  A tick chain armed for another
+    /// epoch stops instead of double-driving a later group with the same
+    /// fingerprint.
+    fn group_epoch(&self, group: u64) -> Option<u64>;
 
-    /// The partial route of a live group; `None` once the group is retired
-    /// (which also stops the executor's tick chain).
-    fn group_route(&self, group: u64) -> Option<GroupRoute>;
+    /// The window engine of a live group: the executor ticks it, folds
+    /// relayed partials into it and persists/rehydrates it exactly as it
+    /// does a standalone query's.
+    fn engine(&self, group: u64) -> Option<&WindowAgg>;
 
-    /// Member query ids of a live group, ascending (empty when the group is
-    /// unknown).  Tracing charges shared work to the first — the group's
-    /// canonical member — so `share.flush` spans have a stable attribution
-    /// however many queries ride the group.
-    fn member_ids(&self, _group: u64) -> Vec<u64> {
-        Vec::new()
-    }
+    /// Mutable access to a live group's window engine.
+    fn engine_mut(&mut self, group: u64) -> Option<&mut WindowAgg>;
 
-    /// One window-maintenance tick for `group`: close due windows, return
-    /// the partial stream to ship and (at the root) per-member emissions.
-    fn tick(&mut self, group: u64, now: SimTime, is_root: bool) -> TickOutput;
+    /// Diagnostics of member `query_id` (its group's engine, its own lease);
+    /// `None` when the query is not a member here.
+    fn diagnostics(&self, query_id: u64) -> Option<CqDiagnostics>;
 
     /// Diagnostics snapshot.
     fn stats(&self) -> SharingStats;
+}
+
+/// The tag of share group `fingerprint`, `g{fingerprint:016x}`: the prefix
+/// of the group's interned shapes, window namespace and durable segment
+/// keys — identical on every node, so partials combine across the overlay
+/// and a restarted node finds the group's segments.
+pub fn group_tag(fingerprint: u64) -> String {
+    format!("g{fingerprint:016x}")
 }
 
 /// True for table names of the share-group-scoped form

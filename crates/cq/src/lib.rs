@@ -15,11 +15,12 @@
 //! * [`delta`] — delta-output semantics: per-window snapshot results or
 //!   insert/retract streams computed against the previous emission of the
 //!   same window ([`delta::DeltaTracker`]).
-//! * [`shared`] — multi-query **share-group** window state: one
-//!   local/root [`state::WindowStore`] pair serving N constant-varied
-//!   member queries, each member's per-window answer derived from the
-//!   shared accumulators at flush through its own [`delta::DeltaTracker`]
-//!   (the state half of the `pier-mqo` subsystem).
+//! * [`shared`] — multi-member window state: one local/root
+//!   [`state::WindowStore`] pair serving 1..N member queries, each
+//!   member's per-window answer derived from the shared accumulators at
+//!   flush through its own [`delta::DeltaTracker`] (the state half of
+//!   `pier-core`'s one windowed-aggregation engine, which runs standalone
+//!   standing queries and `pier-mqo` share groups alike).
 //! * [`lifecycle`] — the soft-state continuous-query lifecycle: leases that
 //!   must be renewed by periodic re-dissemination (so a query dies everywhere
 //!   once its owner stops renewing, and reaches nodes that joined after it

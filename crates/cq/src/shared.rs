@@ -4,11 +4,12 @@
 //! reachable if near-identical queries — the network-monitoring case where
 //! many users install the same windowed aggregate with different selection
 //! constants — stop paying per-query state and per-query partial streams.
-//! A [`SharedWindowState`] is the window engine of one **share group**: it
+//! A [`SharedWindowState`] is the window state of one **share group**: it
 //! keeps exactly one local [`WindowStore`] and one root-side [`WindowStore`]
 //! for the whole group (instead of one pair per member query), and derives
 //! each member's per-window answer *at flush time* from the shared
-//! accumulators.
+//! accumulators.  A standalone standing query is the one-member case:
+//! `pier-core`'s windowed-aggregation engine runs both on this type.
 //!
 //! The derivation contract is the caller's: sharing is sound when every
 //! member's residual predicate references only the group's GROUP BY columns,
@@ -126,6 +127,16 @@ impl<A: WindowAccumulator + Clone, R: Clone + PartialEq> SharedWindowState<A, R>
     /// union of the members' selected rows into it, once per row).
     pub fn local_mut(&mut self) -> &mut WindowStore<A> {
         &mut self.local
+    }
+
+    /// Both stores, `[local, root]` — what durable segment logs snapshot.
+    pub fn stores(&self) -> [&WindowStore<A>; 2] {
+        [&self.local, &self.root]
+    }
+
+    /// Both stores, `[local, root]`, for rehydration from segment logs.
+    pub fn stores_mut(&mut self) -> [&mut WindowStore<A>; 2] {
+        [&mut self.local, &mut self.root]
     }
 
     /// Merge a relayed partial into the root-side store (arrival at, or

@@ -137,6 +137,9 @@ pub struct ChaosOutcome {
     /// Largest warm-restart evidence on any restarted node: windows the
     /// netmon query rehydrated from durable segments after coming back.
     pub rehydrated_windows: u64,
+    /// The same evidence for the riding tenants: windows their share group
+    /// rehydrated on a restarted node when re-dissemination re-created it.
+    pub tenant_rehydrated_windows: u64,
     /// Fraction of expected tenant windows that received at least one row.
     pub tenant_coverage: f64,
     /// Aggregate fault-injection counts from the plan's log.
@@ -290,8 +293,10 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 2s SLIDE 1s EVERY 5s".to_string();
     let mut plan = sqlish::compile(&netmon_sql, proxy, stream_micros + 40_000_000)
         .expect("chaos netmon query must compile");
-    // The netmon query opts out of the mqo layer: shared group state is not
-    // persisted, and this query is the one whose warm restart we measure.
+    // The netmon query opts out of the mqo layer.  Share groups persist and
+    // rehydrate like private queries, but as a group of its own the query
+    // would combine at the group's window root instead of its own, and the
+    // degraded-phase error this run measures is pinned to its own root.
     if let Some(cq) = plan.cq.as_mut() {
         cq.exclusive = true;
     }
@@ -491,17 +496,22 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         }
     }
     // Warm-restart evidence: the restarted nodes' re-installed netmon query
-    // reports how many windows it rehydrated from durable segments.
-    let mut rehydrated_windows = 0u64;
-    for &i in &restarted {
-        if let Some(diag) = cluster
-            .sim
-            .node(cluster.addr(i))
-            .and_then(|n| n.cq_diagnostics(query_id))
-        {
-            rehydrated_windows = rehydrated_windows.max(diag.rehydrated_windows);
-        }
-    }
+    // and re-created tenant share group report how many windows they
+    // rehydrated from durable segments.
+    let rehydrated = |qid: u64| -> u64 {
+        restarted
+            .iter()
+            .filter_map(|&i| cluster.sim.node(cluster.addr(i))?.cq_diagnostics(qid))
+            .map(|diag| diag.rehydrated_windows)
+            .max()
+            .unwrap_or(0)
+    };
+    let rehydrated_windows = rehydrated(query_id);
+    let tenant_rehydrated_windows = tenants
+        .iter()
+        .map(|t| rehydrated(t.query_id))
+        .max()
+        .unwrap_or(0);
     // Tenant liveness: of the windows a tenant's source actually appeared
     // in (and that closed before the stream ended), how many produced at
     // least one row at that tenant's proxy?
@@ -549,6 +559,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         },
         restarted,
         rehydrated_windows,
+        tenant_rehydrated_windows,
         tenant_coverage,
         fault_counts,
         trace,

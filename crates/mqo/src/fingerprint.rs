@@ -18,7 +18,7 @@
 //! then constant within each group, so a member's answer is precisely the
 //! subset of shared groups its predicate accepts).  [`normalize`] returns
 //! `None` for anything else — joins, rehash sinks, window-scoped dedup,
-//! predicates over non-grouping columns, exclusive (durable) plans and
+//! predicates over non-grouping columns, exclusive plans and
 //! plans admission shed to sampling — and the executor falls back to
 //! independent execution, so sharing never changes results, only cost.
 //! This is the single shareability decision: the executor offers every
@@ -72,7 +72,7 @@ pub struct ShareCandidate {
 /// independently — normalization never rejects a query, only sharing).
 pub fn normalize(plan: &QueryPlan) -> Option<ShareCandidate> {
     let cq = plan.cq.as_ref()?;
-    // An exclusive plan keeps its own (persistable) stores, and a shed plan
+    // An exclusive plan keeps its own engine and window root, and a shed plan
     // samples its source rows — a shared store would run it at full rate.
     if cq.exclusive || plan.sample_every > 1 {
         return None;

@@ -1,44 +1,40 @@
 //! Share groups and the [`MultiQuerySharing`] implementation.
 //!
 //! A `ShareGroup` is the runtime of one plan fingerprint at one node: the
-//! [`PredicateIndex`] over its members' predicates, the single
-//! [`SharedWindowState`] their windows accumulate in, and the per-member
-//! residue (compiled derivation predicate, proxy address, lease, result
-//! schema, finishers).  [`MqoLayer`] is the registry the executor talks to
-//! through the [`MultiQuerySharing`] trait: fingerprint → group,
-//! query → group, and the namespace routing tables for ingest chunks and
-//! relayed window partials.
+//! [`PredicateIndex`] over its members' predicates, each member's lease, and
+//! one [`WindowAgg`] engine whose members are the group's queries.
+//! [`MqoLayer`] is the registry the executor talks to through the
+//! [`MultiQuerySharing`] trait: fingerprint → group, query → group, and the
+//! namespace routing tables for ingest chunks and relayed window partials.
 //!
 //! Life of a shared chunk: the executor hands each arriving chunk of a
 //! subscribed namespace to the layer once; the predicate index scans every
 //! referenced column and produces per-member masks plus their union; rows
-//! in the union fold into the group's shared local store (group key,
-//! event time and aggregate inputs resolved once per schema).  At each
-//! window tick the group ships **one** partial stream toward its window
-//! root (`g{fp:016x}.windows` / `g{fp:016x}.root` — identical on every
-//! node, so partials combine across the overlay with no coordination); the
-//! root derives each member's rows from the shared per-group accumulators
-//! by evaluating the member's predicate against the group *values* (sound
+//! in the union fold into the group engine's shared local store.  The
+//! executor ticks the engine exactly as it ticks a standalone query's: the
+//! group ships **one** partial stream toward its window root
+//! (`g{fp:016x}.windows` / `g{fp:016x}.root` — identical on every node, so
+//! partials combine across the overlay with no coordination); the root
+//! derives each member's rows from the shared per-group accumulators by
+//! evaluating the member's predicate against the group *values* (sound
 //! because eligibility required the predicate to reference GROUP BY
 //! columns only), applies the member's finishers, and routes the member's
-//! snapshot/delta stream to the member's own proxy.
+//! snapshot/delta stream to the member's own proxy.  With a durable store
+//! the group's windows persist and rehydrate under `g{fp:016x}.local` /
+//! `g{fp:016x}.root` like any query's.
 
 use crate::fingerprint::{normalize, ShareCandidate};
 use crate::index::PredicateIndex;
 use pier_core::plan::QueryPlan;
 use pier_core::sharing::{
-    GroupRoute, InstallOutcome, MultiQuerySharing, SharedEmission, SharingStats, TickOutput,
-    UninstallOutcome,
+    group_tag, InstallOutcome, MultiQuerySharing, SharingStats, UninstallOutcome,
 };
-use pier_core::tuple::{ColumnChunk, ColumnRef, ColumnResolver, Schema, SchemaRegistry, Tuple};
-use pier_core::{
-    AggFunc, AggState, CompiledExpr, OperatorSpec, PartialDecoder, Pipeline, Value, WindowSpec,
-};
-use pier_cq::{Delta, Lease, SharedWindowState, WindowAccumulator, WindowId};
+use pier_core::tuple::ColumnChunk;
+use pier_core::{CqDiagnostics, WindowAgg};
+use pier_cq::Lease;
 use pier_runtime::{NodeAddr, SimTime};
 use pier_telemetry::Telemetry;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Construct the sharing layer — the value to plug into
 /// [`PierConfig::sharing`](pier_core::PierConfig).
@@ -46,334 +42,63 @@ pub fn layer() -> Box<dyn MultiQuerySharing + Send> {
     Box::new(MqoLayer::default())
 }
 
-/// One group's mergeable window accumulator: the grouping values plus one
-/// partial [`AggState`] per aggregate (the same shape the per-query
-/// executor accumulates, shared across members here).
-#[derive(Debug, Clone)]
-pub struct GroupAcc {
-    /// The grouping-column values identifying this group.
-    pub vals: Vec<Value>,
-    /// One mergeable partial per aggregate.
-    pub states: Vec<AggState>,
-}
-
-impl WindowAccumulator for GroupAcc {
-    fn merge(&mut self, other: &Self) {
-        for (mine, theirs) in self.states.iter_mut().zip(&other.states) {
-            mine.merge(theirs);
-        }
-    }
-}
-
-/// Compiled positional decode of one partial schema (`_w`, group columns,
-/// aggregate columns), cached per schema pointer.
-#[derive(Debug)]
-struct PartialLayout {
-    w: usize,
-    groups: Vec<usize>,
-    aggs: Vec<PartialDecoder>,
-}
-
-#[derive(Debug)]
-struct PartialDecodeCache {
-    schema: Arc<Schema>,
-    compiled: Option<PartialLayout>,
-}
-
-/// Per-member residue within a share group.
-#[derive(Debug)]
-struct MemberState {
-    /// The member's predicate compiled against the group-values schema:
-    /// derivation evaluates it per *group*, not per row.
-    derive: CompiledExpr,
-    proxy: NodeAddr,
-    lease: Lease,
-    /// `q{id}.win` — identical to the shape independent execution emits,
-    /// so clients cannot tell shared from independent results.
-    result_schema: Arc<Schema>,
-    final_ops: Vec<OperatorSpec>,
-}
-
 /// The runtime of one share group at one node.
 #[derive(Debug)]
 struct ShareGroup {
-    fingerprint: u64,
     /// This incarnation's epoch (see
-    /// [`GroupRoute::epoch`](pier_core::sharing::GroupRoute::epoch)).
+    /// [`InstallOutcome::Member`](pier_core::sharing::InstallOutcome)).
     epoch: u64,
+    /// The base table namespace the group ingests.
     namespace: String,
-    window: WindowSpec,
-    aggs: Vec<AggFunc>,
     index: PredicateIndex,
-    members: HashMap<u64, MemberState>,
-    state: SharedWindowState<GroupAcc, Tuple>,
-    /// `g{fp:016x}.wp` — the shape of relayed closed-window partials.
-    partial_schema: Arc<Schema>,
-    /// `g{fp:016x}.gv` — the synthetic schema derivation predicates compile
-    /// against (columns = the GROUP BY columns).
-    gv_schema: Arc<Schema>,
-    group_resolver: ColumnResolver,
-    time_ref: Option<ColumnRef>,
-    agg_inputs: Vec<Option<ColumnRef>>,
-    partial_decode: Option<PartialDecodeCache>,
-}
-
-fn window_namespace(fingerprint: u64) -> String {
-    format!("g{fingerprint:016x}.windows")
-}
-
-fn root_key(fingerprint: u64) -> String {
-    format!("g{fingerprint:016x}.root")
+    /// Each member's soft-state lease.
+    leases: HashMap<u64, Lease>,
+    engine: WindowAgg,
 }
 
 impl ShareGroup {
     fn new(c: &ShareCandidate, epoch: u64) -> ShareGroup {
-        let tag = format!("g{:016x}", c.fingerprint);
-        let partial_schema = {
-            let mut columns = vec!["_w".to_string()];
-            columns.extend(c.group_cols.iter().cloned());
-            for agg in &c.aggs {
-                let col = agg.output_column();
-                if matches!(agg, AggFunc::Avg(_)) {
-                    columns.push(col.clone());
-                    columns.push(format!("{col}_sum"));
-                    columns.push(format!("{col}_count"));
-                } else {
-                    columns.push(col);
-                }
-            }
-            SchemaRegistry::global().intern_owned(format!("{tag}.wp"), columns)
-        };
-        let gv_schema =
-            SchemaRegistry::global().intern_owned(format!("{tag}.gv"), c.group_cols.clone());
+        let tag = group_tag(c.fingerprint);
         ShareGroup {
-            fingerprint: c.fingerprint,
             epoch,
             namespace: c.namespace.clone(),
-            window: c.window,
-            aggs: c.aggs.clone(),
             index: PredicateIndex::new(),
-            members: HashMap::new(),
-            state: SharedWindowState::new(c.window, c.budget),
-            partial_schema,
-            gv_schema,
-            group_resolver: ColumnResolver::new(c.group_cols.clone()),
-            time_ref: c.time_col.clone().map(ColumnRef::new),
-            agg_inputs: c
-                .aggs
-                .iter()
-                .map(|a| a.input_column().map(ColumnRef::new))
-                .collect(),
-            partial_decode: None,
+            leases: HashMap::new(),
+            engine: WindowAgg::new(
+                tag.clone(),
+                format!("{tag}.root"),
+                c.window,
+                &c.group_cols,
+                &c.aggs,
+                c.time_col.as_deref(),
+                &[],
+                c.budget,
+            ),
         }
     }
 
     fn add_member(&mut self, query_id: u64, c: &ShareCandidate, proxy: NodeAddr, now: SimTime) {
-        let result_schema = {
-            let mut columns = vec!["window_start".to_string(), "window_end".to_string()];
-            columns.extend(self.group_resolver.columns().iter().cloned());
-            columns.extend(self.aggs.iter().map(AggFunc::output_column));
-            SchemaRegistry::global().intern_owned(format!("q{query_id}.win"), columns)
-        };
         self.index.insert(query_id, c.predicate.clone());
-        self.state.add_member(query_id, c.delta);
-        self.members.insert(
-            query_id,
-            MemberState {
-                derive: c.predicate.compile(&self.gv_schema),
-                proxy,
-                lease: Lease::granted(now, c.lease),
-                result_schema,
-                final_ops: c.final_ops.clone(),
-            },
-        );
+        self.engine
+            .add_member(query_id, proxy, Some(&c.predicate), c.delta, &c.final_ops);
+        self.leases.insert(query_id, Lease::granted(now, c.lease));
     }
 
     /// Absorb one ingest chunk: one predicate-index scan, union rows folded
     /// into the shared store.  Returns `(rows scanned, rows selected)`.
     fn absorb_chunk(&mut self, chunk: &ColumnChunk, now: SimTime) -> (u64, u64) {
         let rows = chunk.rows() as u64;
-        let schema = chunk.schema();
-        let Some(group_idxs) = self.group_resolver.indices_for(schema) else {
+        if !self.engine.reads(chunk.schema()) {
             return (rows, 0); // malformed chunk for this group: discard
-        };
-        let group_idxs = group_idxs.to_vec();
-        self.index.eval_chunk(chunk);
-        let selected = self.index.union().count() as u64;
-        if selected == 0 {
-            return (rows, 0);
         }
-        let time_idx = self.time_ref.as_mut().and_then(|c| c.index_for(schema));
-        let agg_idxs: Vec<Option<usize>> = self
-            .agg_inputs
-            .iter_mut()
-            .map(|input| input.as_mut().and_then(|c| c.index_for(schema)))
-            .collect();
-        let aggs = &self.aggs;
+        self.index.eval_chunk(chunk);
         let union = self.index.union();
-        let store = self.state.local_mut();
-        for r in 0..chunk.rows() {
-            if !union.get(r) {
-                continue;
-            }
-            let event_time = time_idx
-                .and_then(|i| chunk.col(i).value_ref(r).as_i64())
-                .map_or(now, |v| v.max(0) as u64);
-            let key = chunk.key_at(&group_idxs, r);
-            store.push(
-                event_time,
-                &key,
-                None,
-                || GroupAcc {
-                    vals: group_idxs.iter().map(|&i| chunk.col(i).value(r)).collect(),
-                    states: aggs.iter().map(AggFunc::init).collect(),
-                },
-                |acc| {
-                    for ((agg, idx), state) in aggs.iter().zip(&agg_idxs).zip(acc.states.iter_mut())
-                    {
-                        state.update_ref(agg, idx.map(|i| chunk.col(i).value_ref(r)));
-                    }
-                },
-            );
+        let selected = union.count() as u64;
+        if selected > 0 {
+            self.engine
+                .absorb_chunk(chunk, now, Some(&|r| union.get(r)));
         }
         (rows, selected)
-    }
-
-    fn encode_partial(&self, wid: WindowId, acc: &GroupAcc) -> Tuple {
-        let mut values = Vec::with_capacity(self.partial_schema.arity());
-        values.push(Value::Int(wid as i64));
-        values.extend(acc.vals.iter().cloned());
-        for state in &acc.states {
-            values.push(state.finish());
-            if let AggState::Avg { sum, count } = state {
-                values.push(Value::Float(*sum));
-                values.push(Value::Int(*count as i64));
-            }
-        }
-        Tuple::from_schema(Arc::clone(&self.partial_schema), values)
-    }
-
-    /// Decode a relayed closed-window partial (positional layout compiled
-    /// once per schema; `None` for malformed tuples, best-effort policy).
-    fn decode_partial(&mut self, tuple: &Tuple) -> Option<(WindowId, String, GroupAcc)> {
-        let schema = tuple.schema();
-        let hit = self
-            .partial_decode
-            .as_ref()
-            .is_some_and(|c| Arc::ptr_eq(&c.schema, schema));
-        if !hit {
-            let group_cols = self.group_resolver.columns();
-            let compiled = (|| {
-                let w = schema.position("_w")?;
-                let groups: Vec<usize> = group_cols
-                    .iter()
-                    .map(|c| schema.position(c))
-                    .collect::<Option<_>>()?;
-                let aggs: Vec<PartialDecoder> = self
-                    .aggs
-                    .iter()
-                    .map(|a| PartialDecoder::compile(a, schema))
-                    .collect::<Option<_>>()?;
-                Some(PartialLayout { w, groups, aggs })
-            })();
-            self.partial_decode = Some(PartialDecodeCache {
-                schema: Arc::clone(schema),
-                compiled,
-            });
-        }
-        let layout = self
-            .partial_decode
-            .as_ref()
-            .expect("cache populated above")
-            .compiled
-            .as_ref()?;
-        let values = tuple.values();
-        let wid = values[layout.w].as_i64()?;
-        let vals: Vec<Value> = layout.groups.iter().map(|&i| values[i].clone()).collect();
-        let key = tuple.key_at(&layout.groups);
-        let states: Option<Vec<AggState>> = layout
-            .aggs
-            .iter()
-            .zip(&self.aggs)
-            .map(|(decoder, agg)| decoder.decode(agg, values))
-            .collect();
-        Some((
-            wid.max(0) as u64,
-            key,
-            GroupAcc {
-                vals,
-                states: states?,
-            },
-        ))
-    }
-
-    /// One window tick: at the root, roll local windows up and derive every
-    /// member's emissions; elsewhere, drain due windows into the group's
-    /// single partial stream.
-    fn tick(&mut self, now: SimTime, is_root: bool) -> TickOutput {
-        let mut out = TickOutput::default();
-        if is_root {
-            self.state.roll_up_local(now);
-            let members = &self.members;
-            let window = self.window;
-            let emissions = self.state.emit_due(now, |member_id, wid, groups| {
-                let Some(m) = members.get(&member_id) else {
-                    return Vec::new();
-                };
-                let (ws, we) = window.bounds(wid);
-                let mut rows: Vec<Tuple> = groups
-                    .iter()
-                    .filter(|(_, acc)| m.derive.matches(&acc.vals))
-                    .map(|(_, acc)| {
-                        let mut values = Vec::with_capacity(m.result_schema.arity());
-                        values.push(Value::Int(ws as i64));
-                        values.push(Value::Int(we as i64));
-                        values.extend(acc.vals.iter().cloned());
-                        values.extend(acc.states.iter().map(AggState::finish));
-                        Tuple::from_schema(Arc::clone(&m.result_schema), values)
-                    })
-                    .collect();
-                // Same deterministic order as the independent path's
-                // window_tick; cached keys render each row once instead of
-                // twice per comparison.
-                rows.sort_by_cached_key(std::string::ToString::to_string);
-                if !m.final_ops.is_empty() {
-                    let finisher =
-                        Pipeline::new(m.final_ops.iter().filter_map(OperatorSpec::build).collect());
-                    rows = finisher.finish(rows);
-                }
-                rows
-            });
-            for e in emissions {
-                let Some(m) = self.members.get(&e.member) else {
-                    continue;
-                };
-                let (window_start, window_end) = self.window.bounds(e.window);
-                let mut retracts = Vec::new();
-                let mut inserts = Vec::new();
-                for d in e.deltas {
-                    match d {
-                        Delta::Retract(t) => retracts.push(t),
-                        Delta::Insert(t) => inserts.push(t),
-                    }
-                }
-                out.emissions.push(SharedEmission {
-                    query_id: e.member,
-                    proxy: m.proxy,
-                    window_start,
-                    window_end,
-                    retracts,
-                    inserts,
-                });
-            }
-        } else {
-            for (wid, groups) in self.state.drain_closed(now) {
-                for (_, acc) in groups {
-                    out.partials.push(self.encode_partial(wid, &acc));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -414,7 +139,7 @@ impl MqoLayer {
         self.tel.gauge("mqo.members", self.by_query.len() as f64);
         if let Some(size) = joined
             .and_then(|fp| self.groups.get(&fp))
-            .map(|g| g.members.len())
+            .map(|g| g.leases.len())
         {
             self.tel.observe_count("mqo.group_size", size as f64);
         }
@@ -458,8 +183,8 @@ impl MultiQuerySharing for MqoLayer {
         group.add_member(query_id, &candidate, plan.proxy, now);
         let epoch = group.epoch;
         if new_group {
-            self.window_ns
-                .insert(window_namespace(fingerprint), fingerprint);
+            let namespace = group.engine.namespace().to_string();
+            self.window_ns.insert(namespace, fingerprint);
             self.base_ns
                 .entry(candidate.namespace.clone())
                 .or_default()
@@ -480,14 +205,14 @@ impl MultiQuerySharing for MqoLayer {
         let Some(fp) = self.by_query.get(&query_id) else {
             return false;
         };
-        let Some(member) = self
+        let Some(lease) = self
             .groups
             .get_mut(fp)
-            .and_then(|g| g.members.get_mut(&query_id))
+            .and_then(|g| g.leases.get_mut(&query_id))
         else {
             return false;
         };
-        member.lease.renew(now);
+        lease.renew(now);
         true
     }
 
@@ -502,9 +227,9 @@ impl MultiQuerySharing for MqoLayer {
             };
         };
         group.index.remove(query_id);
-        group.state.remove_member(query_id);
-        group.members.remove(&query_id);
-        if group.members.is_empty() {
+        group.engine.remove_member(query_id);
+        group.leases.remove(&query_id);
+        if group.leases.is_empty() {
             let namespace = group.namespace.clone();
             self.groups.remove(&fp);
             self.window_ns.retain(|_, g| *g != fp);
@@ -532,8 +257,8 @@ impl MultiQuerySharing for MqoLayer {
         let fp = self.by_query.get(&query_id)?;
         self.groups
             .get(fp)
-            .and_then(|g| g.members.get(&query_id))
-            .map(|m| m.lease.expires_at)
+            .and_then(|g| g.leases.get(&query_id))
+            .map(|l| l.expires_at)
     }
 
     fn wants_namespace(&self, namespace: &str) -> bool {
@@ -570,54 +295,37 @@ impl MultiQuerySharing for MqoLayer {
         self.window_ns.get(namespace).copied()
     }
 
-    fn absorb_window_partial(&mut self, namespace: &str, tuple: &Tuple) -> bool {
-        let Some(group) = self
-            .window_ns
-            .get(namespace)
-            .and_then(|fp| self.groups.get_mut(fp))
-        else {
-            return false;
-        };
-        match group.decode_partial(tuple) {
-            Some((wid, key, acc)) => group.state.absorb_partial(wid, &key, acc),
-            None => false, // malformed: refused, best effort
-        }
+    fn group_epoch(&self, group: u64) -> Option<u64> {
+        self.groups.get(&group).map(|g| g.epoch)
     }
 
-    fn group_route(&self, group: u64) -> Option<GroupRoute> {
-        self.groups.get(&group).map(|g| GroupRoute {
-            namespace: window_namespace(g.fingerprint),
-            root_key: root_key(g.fingerprint),
-            slide: g.window.slide,
-            epoch: g.epoch,
-        })
+    fn engine(&self, group: u64) -> Option<&WindowAgg> {
+        self.groups.get(&group).map(|g| &g.engine)
     }
 
-    fn member_ids(&self, group: u64) -> Vec<u64> {
-        let Some(g) = self.groups.get(&group) else {
-            return Vec::new();
-        };
-        let mut ids: Vec<u64> = g.members.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+    fn engine_mut(&mut self, group: u64) -> Option<&mut WindowAgg> {
+        self.groups.get_mut(&group).map(|g| &mut g.engine)
     }
 
-    fn tick(&mut self, group: u64, now: SimTime, is_root: bool) -> TickOutput {
-        match self.groups.get_mut(&group) {
-            Some(g) => g.tick(now, is_root),
-            None => TickOutput::default(),
-        }
+    fn diagnostics(&self, query_id: u64) -> Option<CqDiagnostics> {
+        let g = self.groups.get(self.by_query.get(&query_id)?)?;
+        Some(g.engine.diagnostics(query_id, g.leases.get(&query_id)?))
     }
 
     fn stats(&self) -> SharingStats {
         SharingStats {
             groups: self.groups.len(),
             members: self.by_query.len(),
-            open_windows: self.groups.values().map(|g| g.state.open_windows()).sum(),
-            state_groups: self.groups.values().map(|g| g.state.total_groups()).sum(),
+            open_windows: self.groups.values().map(|g| g.engine.open_windows()).sum(),
+            state_groups: self.groups.values().map(|g| g.engine.total_groups()).sum(),
             chunks_absorbed: self.chunks_absorbed,
             rows_absorbed: self.rows_absorbed,
             rows_selected: self.rows_selected,
+            rehydrated_windows: self
+                .groups
+                .values()
+                .map(|g| g.engine.rehydrated_windows())
+                .sum(),
         }
     }
 }
@@ -626,7 +334,7 @@ impl MultiQuerySharing for MqoLayer {
 mod tests {
     use super::*;
     use pier_core::sqlish;
-    use pier_core::{TupleBatch, Value};
+    use pier_core::{Emission, Tuple, TupleBatch, Value};
 
     fn tenant_plan(query_id: u64, src: &str) -> QueryPlan {
         let mut plan = sqlish::compile(
@@ -684,14 +392,16 @@ mod tests {
         assert!(layer.stats().rows_absorbed >= 400);
         // Tick as root far enough in the future to close every window.
         let group = *layer.by_query.get(&1).unwrap();
-        let out = layer.tick(group, 60_000_000, true);
+        let out = layer
+            .engine_mut(group)
+            .expect("group is live")
+            .tick(60_000_000, true);
         assert!(out.partials.is_empty(), "the root ships no partials");
         // Each member sees exactly its own source's counts, per window,
         // matching ground truth computed with the same window arithmetic.
         let spec = pier_cq::WindowSpec::sliding(2_000_000, 1_000_000);
         for qid in 1u64..=3 {
-            let mine: Vec<&SharedEmission> =
-                out.emissions.iter().filter(|e| e.query_id == qid).collect();
+            let mine: Vec<&Emission> = out.emissions.iter().filter(|e| e.query_id == qid).collect();
             assert!(!mine.is_empty(), "member {qid} must receive emissions");
             let src = format!("10.0.0.{qid}");
             let mut total = 0i64;
@@ -734,25 +444,28 @@ mod tests {
             relay.absorb_chunk("packets", chunk, 0);
         }
         let group = *relay.by_query.get(&1).unwrap();
-        let shipped = relay.tick(group, 60_000_000, false);
+        let shipped = relay
+            .engine_mut(group)
+            .expect("group is live")
+            .tick(60_000_000, false);
         assert!(
             !shipped.partials.is_empty(),
             "non-root ticks ship closed-window partials"
         );
         assert!(shipped.emissions.is_empty());
-        let route = relay.group_route(group).expect("group is live");
+        let namespace = relay.engine(group).expect("group is live").namespace();
         // The root absorbs the relayed partials and derives per-member
         // results from them.
-        assert_eq!(root.window_group(&route.namespace), Some(group));
+        assert_eq!(root.window_group(namespace), Some(group));
+        let root_engine = root.engine_mut(group).expect("group is live");
         for partial in &shipped.partials {
-            assert!(root.absorb_window_partial(&route.namespace, partial));
+            assert!(root_engine.absorb_partial(partial));
         }
-        let out = root.tick(group, 120_000_000, true);
+        let out = root_engine.tick(120_000_000, true);
         assert!(out.emissions.iter().any(|e| e.query_id == 1));
         assert!(out.emissions.iter().any(|e| e.query_id == 2));
         // Unknown namespaces are not the layer's.
         assert_eq!(root.window_group("packets"), None);
-        assert!(!root.absorb_window_partial("packets", &shipped.partials[0]));
     }
 
     #[test]
@@ -778,7 +491,7 @@ mod tests {
         assert_eq!(layer.stats().groups, 0);
         assert_eq!(layer.stats().members, 0);
         assert!(!layer.wants_namespace("packets"));
-        assert!(layer.group_route(last.retired_group.unwrap()).is_none());
+        assert!(layer.group_epoch(last.retired_group.unwrap()).is_none());
         assert!(
             !layer.uninstall(4).was_member,
             "double uninstall is a no-op"
@@ -803,7 +516,7 @@ mod tests {
             }
             other => panic!("expected membership, got {other:?}"),
         };
-        assert_eq!(layer.group_route(first.0).unwrap().epoch, first.1);
+        assert_eq!(layer.group_epoch(first.0), Some(first.1));
         assert!(layer.uninstall(1).retired_group.is_some());
         let second = match layer.try_install(&tenant_plan(2, "10.0.0.2"), 5) {
             InstallOutcome::Member {
@@ -819,7 +532,7 @@ mod tests {
         };
         assert_eq!(first.0, second.0, "same fingerprint");
         assert_ne!(first.1, second.1, "fresh epoch per incarnation");
-        assert_eq!(layer.group_route(second.0).unwrap().epoch, second.1);
+        assert_eq!(layer.group_epoch(second.0), Some(second.1));
         // A member joining the live incarnation reports the same epoch and
         // does not start a new chain.
         match layer.try_install(&tenant_plan(3, "10.0.0.3"), 6) {

@@ -21,11 +21,12 @@
 //!   not N expression walks per row.
 //! * [`mod@layer`] — share-group execution implementing `pier-core`'s
 //!   [`MultiQuerySharing`](pier_core::MultiQuerySharing) seam: each
-//!   group keeps **one** shared window store
-//!   ([`pier_cq::SharedWindowState`]) fed by the union mask, ships **one**
-//!   partial stream toward its window root, and derives each member's
-//!   per-window snapshot/delta answer from the shared per-group
-//!   accumulators at flush.
+//!   group is **one** [`WindowAgg`](pier_core::WindowAgg) engine — the
+//!   same engine a standalone standing query runs, here with N members —
+//!   fed by the union mask; it ships **one** partial stream toward its
+//!   window root, derives each member's per-window snapshot/delta answer
+//!   from the shared per-group accumulators at flush, and persists to
+//!   durable segments like any query.
 //!
 //! ## Soundness
 //!
@@ -55,5 +56,5 @@ pub mod mask;
 
 pub use fingerprint::{normalize, predicate_columns, ShareCandidate};
 pub use index::{decompose, Atom, PredicateIndex};
-pub use layer::{layer, GroupAcc, MqoLayer};
+pub use layer::{layer, MqoLayer};
 pub use mask::SelMask;

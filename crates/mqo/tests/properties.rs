@@ -164,7 +164,10 @@ proptest! {
         }
         // Tick as root far past every event: all windows emit.
         let group = layer.group_of(query_ids[0]).expect("member has a group");
-        let out = layer.tick(group, 1_000_000_000, true);
+        let out = layer
+            .engine_mut(group)
+            .expect("group is live")
+            .tick(1_000_000_000, true);
         // Reference: each query in isolation — filter, window, count.
         let spec = pier_cq::WindowSpec::sliding(2_000_000, 1_000_000);
         for (i, qid) in query_ids.iter().enumerate() {

@@ -118,6 +118,26 @@ fn trace_fault_events_reconcile_with_the_plan() {
     assert!(!out.restarted.is_empty(), "the storm must restart a node");
 }
 
+/// Share groups are durable like standalone queries: the node the storm
+/// restarts re-creates the tenants' share group when re-dissemination
+/// re-installs them, and the group rehydrates its windows warm from its own
+/// `g{fp}` segment log.
+#[test]
+fn restarted_share_group_rehydrates_warm() {
+    let out = run_chaos(&small_config(seeded(7)));
+    assert!(!out.restarted.is_empty(), "the storm must restart a node");
+    assert!(
+        out.tenant_rehydrated_windows > 0,
+        "a restarted node must re-create the tenants' share group with warm windows"
+    );
+    assert!(
+        out.merged_trace
+            .lines()
+            .any(|l| l.contains("\"kind\":\"window.rehydrate\"") && l.contains("\"group\"")),
+        "the group's rehydration must be journalled"
+    );
+}
+
 /// The gather-based symmetric-hash join survives a [`FaultPlan`]
 /// loss/restart schedule: events are dropped by a seeded loss draw
 /// (churn), and at each pre-drawn storm restart the operator is rebuilt

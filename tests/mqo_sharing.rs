@@ -16,6 +16,17 @@ use pier::qp::Value;
 use pier::runtime::SimTime;
 use std::collections::BTreeMap;
 
+/// Mix the CI seed matrix into a test's default seed: `PIER_SEED`, when
+/// set, perturbs the workload seed so the shared-vs-independent equivalence
+/// is checked over distinct topologies and streams (it is structural and
+/// must hold for any seed).
+fn seeded(default: u64) -> u64 {
+    match std::env::var("PIER_SEED") {
+        Ok(s) => default ^ s.trim().parse::<u64>().expect("PIER_SEED must be a u64"),
+        Err(_) => default,
+    }
+}
+
 /// Canonical view of one tenant's windows restricted to `[from, to]`:
 /// window bounds → sorted row renderings (a multiset fingerprint).
 fn canonical(
@@ -112,7 +123,7 @@ fn assert_no_leaked_groups(shared: &ManyTenantsOutcome, label: &str) {
 
 #[test]
 fn shared_execution_matches_independent_execution_steady_state() {
-    let mut cfg = ManyTenantsConfig::new(10, 24, 12, 61);
+    let mut cfg = ManyTenantsConfig::new(10, 24, 12, seeded(61));
     cfg.sharing = true;
     let shared = many_tenants(&cfg);
     cfg.sharing = false;
@@ -144,7 +155,7 @@ fn shared_execution_matches_independent_execution_steady_state() {
 
 #[test]
 fn shared_execution_matches_independent_under_install_uninstall_mid_stream() {
-    let mut cfg = ManyTenantsConfig::new(8, 16, 15, 77);
+    let mut cfg = ManyTenantsConfig::new(8, 16, 15, seeded(77));
     cfg.late_installs = 4;
     cfg.early_uninstalls = 4;
     cfg.sharing = true;
@@ -167,7 +178,7 @@ fn shared_execution_matches_independent_under_install_uninstall_mid_stream() {
 fn shared_execution_matches_independent_under_node_churn() {
     // 28 s of stream keeps the post-repair comparison span (churn + 12 s
     // onward) wide enough that the equivalence check is not vacuous.
-    let mut cfg = ManyTenantsConfig::new(10, 12, 28, 93);
+    let mut cfg = ManyTenantsConfig::new(10, 12, 28, seeded(93));
     cfg.churn = Some((6, 2, 2));
     cfg.sharing = true;
     let shared = many_tenants(&cfg);
